@@ -109,12 +109,14 @@ void BM_ZipfSample(benchmark::State& state) {
 BENCHMARK(BM_ZipfSample);
 
 void BM_LockManagerAcquireRelease(benchmark::State& state) {
-  LockManager lm;
+  LockManager lm(8);
   const std::vector<ItemId> items = {1, 2, 3, 4, 5};
+  const ItemId probe = 3;
   for (auto _ : state) {
     lm.Acquire(2, LockMode::kShared, items);
-    benchmark::DoNotOptimize(lm.Conflicts(5, LockMode::kExclusive, {3}));
-    lm.ReleaseAll(2);
+    benchmark::DoNotOptimize(
+        lm.Conflicts(5, LockMode::kExclusive, std::span(&probe, 1)));
+    lm.Release(2, items);
   }
 }
 BENCHMARK(BM_LockManagerAcquireRelease);

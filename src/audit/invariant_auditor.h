@@ -41,7 +41,8 @@ inline constexpr bool kEnabled = false;
 // tests can assert that a scenario actually exercised the auditor.
 enum class Invariant {
   kSimTimeMonotonic = 0,    // event pops never move the clock backwards
-  kLockTableConsistent,     // locks_ and held_ agree; no S+X on one item
+  kLockTableConsistent,     // every grant is held by an in-flight txn whose
+                            // lock set has the item; no S+X on one item
   kConflictFree,            // 2PL-HP: acquisitions only after resolution
   kDualQueueConservation,   // admitted txn is exactly one lifecycle state
   kRegisterNewestWins,      // pending register entry is the newest arrival

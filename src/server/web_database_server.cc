@@ -18,72 +18,66 @@ namespace {
 // Every 2^k-th scheduling event runs the deep audit in WEBDB_AUDIT builds.
 constexpr uint64_t kAuditStrideMask = 63;
 
+int32_t NumItemsOf(const Database* database) {
+  WEBDB_CHECK(database != nullptr);
+  return database->NumItems();
+}
+
 }  // namespace
 
 WebDatabaseServer::WebDatabaseServer(Database* database,
                                      CpuSetScheduler* scheduler,
                                      ServerConfig config)
-    : db_(database),
-      sched_(scheduler),
-      config_(config),
-      owned_sim_(std::make_unique<Simulator>()),
-      sim_(owned_sim_.get()),
-      cpus_(sim_, scheduler == nullptr ? 1 : scheduler->num_cpus()),
-      wake_events_(cpus_.num_cpus(), 0),
-      wake_times_(cpus_.num_cpus(), kSimTimeMax) {
-  WEBDB_CHECK(database != nullptr && scheduler != nullptr);
-}
+    : WebDatabaseServer(std::make_unique<Simulator>(), nullptr, database,
+                        scheduler, nullptr, config) {}
 
 WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
                                      CpuSetScheduler* scheduler,
                                      ServerConfig config)
-    : db_(database),
-      sched_(scheduler),
-      config_(config),
-      sim_(simulator),
-      cpus_(sim_, scheduler == nullptr ? 1 : scheduler->num_cpus()),
-      wake_events_(cpus_.num_cpus(), 0),
-      wake_times_(cpus_.num_cpus(), kSimTimeMax) {
-  WEBDB_CHECK(simulator != nullptr);
-  WEBDB_CHECK(database != nullptr && scheduler != nullptr);
-}
+    : WebDatabaseServer(nullptr, simulator, database, scheduler, nullptr,
+                        config) {}
 
 WebDatabaseServer::WebDatabaseServer(Database* database, Scheduler* scheduler,
                                      ServerConfig config)
-    : db_(database),
-      sched_(nullptr),
-      config_(config),
-      owned_sim_(std::make_unique<Simulator>()),
-      sim_(owned_sim_.get()),
-      owned_adapter_(std::make_unique<SingleCpuAdapter>(scheduler)),
-      cpus_(sim_, 1),
-      wake_events_(1, 0),
-      wake_times_(1, kSimTimeMax) {
-  WEBDB_CHECK(database != nullptr);
-  sched_ = owned_adapter_.get();
-}
+    : WebDatabaseServer(std::make_unique<Simulator>(), nullptr, database,
+                        nullptr, std::make_unique<SingleCpuAdapter>(scheduler),
+                        config) {}
 
 WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
                                      Scheduler* scheduler, ServerConfig config)
+    : WebDatabaseServer(nullptr, simulator, database, nullptr,
+                        std::make_unique<SingleCpuAdapter>(scheduler),
+                        config) {}
+
+WebDatabaseServer::WebDatabaseServer(std::unique_ptr<Simulator> owned_sim,
+                                     Simulator* simulator, Database* database,
+                                     CpuSetScheduler* scheduler,
+                                     std::unique_ptr<SingleCpuAdapter> adapter,
+                                     ServerConfig config)
     : db_(database),
-      sched_(nullptr),
+      sched_(adapter != nullptr ? adapter.get() : scheduler),
       config_(config),
-      sim_(simulator),
-      owned_adapter_(std::make_unique<SingleCpuAdapter>(scheduler)),
-      cpus_(sim_, 1),
-      wake_events_(1, 0),
-      wake_times_(1, kSimTimeMax) {
-  WEBDB_CHECK(simulator != nullptr);
-  WEBDB_CHECK(database != nullptr);
-  sched_ = owned_adapter_.get();
+      owned_sim_(std::move(owned_sim)),
+      sim_(owned_sim_ != nullptr ? owned_sim_.get() : simulator),
+      owned_adapter_(std::move(adapter)),
+      cpus_(sim_, sched_ == nullptr ? 1 : sched_->num_cpus()),
+      locks_(NumItemsOf(database)),
+      register_(NumItemsOf(database)),
+      active_updates_(static_cast<size_t>(NumItemsOf(database)), nullptr),
+      wake_events_(cpus_.num_cpus(), 0),
+      wake_times_(cpus_.num_cpus(), kSimTimeMax) {
+  WEBDB_CHECK(sim_ != nullptr);
+  WEBDB_CHECK(sched_ != nullptr);
 }
 
 void WebDatabaseServer::ReserveCapacity(size_t num_queries,
                                         size_t num_updates) {
   queries_.reserve(num_queries);
   updates_.reserve(num_updates);
-  // Concurrently pending events are bounded by one lifetime-deadline per
-  // in-flight query plus a completion and a wake-up; queries dominate.
+  // Pending events: per CPU a completion and a wake-up, the sampling
+  // timers, and one lifetime deadline per query still in flight (cancelled
+  // at commit and shed). Queries dominate; num_queries bounds them even in
+  // a run where nothing commits.
   sim_->Reserve(num_queries + 16);
 }
 
@@ -129,6 +123,7 @@ Query* WebDatabaseServer::SubmitQuery(QueryType type,
   query.items = std::move(items);
   query.qc = std::move(qc);
   query.tenant = tenant;
+  first_arrival_ = std::min(first_arrival_, query.arrival);
 
   ++metrics_.queries_submitted;
   ServerMetrics::TenantCounters* tenant_counters =
@@ -163,8 +158,8 @@ Query* WebDatabaseServer::SubmitQuery(QueryType type,
                                  static_cast<double>(query.qc.rt_max())));
     query.lifetime_deadline = query.arrival + lifetime;
     const TxnId id = query.id;
-    sim_->ScheduleAt(query.lifetime_deadline,
-                    [this, id] { OnLifetimeDeadline(id); });
+    query.lifetime_event = sim_->ScheduleAt(
+        query.lifetime_deadline, [this, id] { OnLifetimeDeadline(id); });
   }
 
   sched_->OnQueryArrival(&query, sim_->Now());
@@ -190,6 +185,7 @@ Update* WebDatabaseServer::SubmitUpdate(ItemId item, double value,
   update.value = value;
   update.item_arrival_seq = db_->RecordUpdateArrival(item, value, sim_->Now());
   update.fifo_rank = update.arrival;
+  first_arrival_ = std::min(first_arrival_, update.arrival);
   // Cache honesty: the instant an update *arrives* on a cached symbol the
   // cached answer's recorded staleness is stale itself — evict eagerly
   // (and again at apply, which changes the committed value).
@@ -224,11 +220,9 @@ Update* WebDatabaseServer::SubmitUpdate(ItemId item, double value,
     update.fifo_rank = old.fifo_rank;
     InvalidateUpdate(old);
   }
-  auto active_it = active_updates_.find(item);
-  if (active_it != active_updates_.end()) {
-    Update& old = *active_it->second;
-    update.fifo_rank = std::min(update.fifo_rank, old.fifo_rank);
-    InvalidateUpdate(old);
+  if (Update* active = active_updates_[item]; active != nullptr) {
+    update.fifo_rank = std::min(update.fifo_rank, active->fifo_rank);
+    InvalidateUpdate(*active);
   }
 
   sched_->OnUpdateArrival(&update, sim_->Now());
@@ -248,8 +242,8 @@ void WebDatabaseServer::InvalidateUpdate(Update& update) {
   } else {
     sched_->RemoveQueued(&update, sim_->Now());
   }
-  locks_.ReleaseAll(update.id);
-  active_updates_.erase(update.item);
+  locks_.Release(update.id, LockSet(update));
+  ClearActiveUpdate(update);
   register_.Remove(update.item, update.id);
   update.state = TxnState::kInvalidated;
   ++metrics_.updates_invalidated;
@@ -338,7 +332,7 @@ void WebDatabaseServer::SnapshotMetrics() {
 bool WebDatabaseServer::IsQuiescent() const {
   return !cpus_.AnyBusy() && !sched_->HasWork() &&
          locks_.NumLockedItems() == 0 && register_.Size() == 0 &&
-         active_updates_.empty() && fusion_groups_.empty() &&
+         num_active_updates_ == 0 && fusion_groups_.empty() &&
          fusion_index_.Size() == 0;
 }
 
@@ -354,8 +348,7 @@ void WebDatabaseServer::PreemptRunning(CpuId cpu) {
   Trace(*running, TraceEventType::kEnqueue);
 }
 
-void WebDatabaseServer::ResolveConflicts(Transaction* txn, LockMode mode,
-                                         const std::vector<ItemId>& items) {
+void WebDatabaseServer::ResolveConflicts(Transaction* txn) {
   // The transaction being dispatched embodies the scheduler's current
   // priority, so under 2PL-HP every conflicting holder is the loser and
   // restarts (releasing its locks and its progress). On a single CPU the
@@ -363,7 +356,8 @@ void WebDatabaseServer::ResolveConflicts(Transaction* txn, LockMode mode,
   // idle-CPU fill defers dispatch against RUNNING holders (multi-core), so
   // a running loser can only appear here via a wake-up-driven dispatch race
   // and is aborted off its CPU before restarting.
-  for (TxnId holder_id : locks_.Conflicts(txn->id, mode, items)) {
+  for (TxnId holder_id :
+       locks_.Conflicts(txn->id, LockModeOf(*txn), LockSet(*txn))) {
     Transaction* holder = Lookup(holder_id);
     WEBDB_CHECK_MSG(holder->state == TxnState::kQueued ||
                         holder->state == TxnState::kRunning,
@@ -374,17 +368,8 @@ void WebDatabaseServer::ResolveConflicts(Transaction* txn, LockMode mode,
 }
 
 bool WebDatabaseServer::HasRunningConflict(Transaction* txn) {
-  LockMode mode = LockMode::kShared;
-  const std::vector<ItemId>* items = nullptr;
-  std::vector<ItemId> update_items;
-  if (txn->kind == TxnKind::kQuery) {
-    items = &static_cast<Query*>(txn)->items;
-  } else {
-    mode = LockMode::kExclusive;
-    update_items.push_back(static_cast<Update*>(txn)->item);
-    items = &update_items;
-  }
-  for (TxnId holder_id : locks_.Conflicts(txn->id, mode, *items)) {
+  for (TxnId holder_id :
+       locks_.Conflicts(txn->id, LockModeOf(*txn), LockSet(*txn))) {
     if (Lookup(holder_id)->state == TxnState::kRunning) return true;
   }
   return false;
@@ -401,7 +386,7 @@ void WebDatabaseServer::Restart(Transaction* txn) {
     DissolveFusionGroup(query);
     UnindexForFusion(query);
   }
-  locks_.ReleaseAll(txn->id);
+  locks_.Release(txn->id, LockSet(*txn));
   if (txn->state == TxnState::kRunning) {
     // Multi-core loser caught mid-flight on another CPU: abort the attempt
     // (the processor discards the completion event) and fall through to the
@@ -427,7 +412,7 @@ void WebDatabaseServer::Restart(Transaction* txn) {
     // A restarted update is still the newest arrival for its item (a newer
     // one would have invalidated it), so it goes back to pending state.
     auto& update = *static_cast<Update*>(txn);
-    active_updates_.erase(update.item);
+    ClearActiveUpdate(update);
     register_.Register(update.item, update.id);
     ++metrics_.update_restarts;
   }
@@ -442,25 +427,23 @@ void WebDatabaseServer::Restart(Transaction* txn) {
 
 void WebDatabaseServer::Dispatch(CpuId cpu, Transaction* txn) {
   WEBDB_CHECK(txn->state == TxnState::kQueued);
-  if (txn->kind == TxnKind::kQuery) {
-    auto& query = *static_cast<Query*>(txn);
-    UnindexForFusion(query);
-    if (config_.enable_2plhp) {
-      ResolveConflicts(txn, LockMode::kShared, query.items);
-      locks_.Acquire(txn->id, LockMode::kShared, query.items);
-    }
+  auto* query =
+      txn->kind == TxnKind::kQuery ? static_cast<Query*>(txn) : nullptr;
+  if (query != nullptr) UnindexForFusion(*query);
+  if (config_.enable_2plhp) {
+    ResolveConflicts(txn);
+    locks_.Acquire(txn->id, LockModeOf(*txn), LockSet(*txn));
+  }
+  if (query != nullptr) {
     // Attach after conflict resolution so members join a scan that holds
     // its read locks (a restarted holder may even re-join as a member).
-    AttachFusionMembers(query);
+    AttachFusionMembers(*query);
   } else {
     auto& update = *static_cast<Update*>(txn);
-    const std::vector<ItemId> items = {update.item};
-    if (config_.enable_2plhp) {
-      ResolveConflicts(txn, LockMode::kExclusive, items);
-      locks_.Acquire(txn->id, LockMode::kExclusive, items);
-    }
     register_.Remove(update.item, update.id);
-    active_updates_[update.item] = &update;
+    Update*& active = active_updates_[update.item];
+    if (active == nullptr) ++num_active_updates_;
+    active = &update;  // a preempted update resumes in its own slot
   }
   txn->state = TxnState::kRunning;
   txn->cpu = cpu;
@@ -484,14 +467,16 @@ void WebDatabaseServer::OnTxnComplete(CpuId cpu, TxnId id) {
   } else {
     ApplyUpdate(*static_cast<Update*>(txn));
   }
-  locks_.ReleaseAll(id);
+  locks_.Release(id, LockSet(*txn));
   sched_->OnTxnFinished(*txn, sim_->Now());
   OnSchedulingEvent();
 }
 
 void WebDatabaseServer::CommitQuery(Query& query) {
+  CancelLifetimeEvent(query);
   query.state = TxnState::kCommitted;
   query.commit_time = sim_->Now();
+  last_completion_ = query.commit_time;
   // Cache honesty rule (DESIGN.md §14): a cache hit settles its QoD
   // contract against the cached data's age — staleness is anchored at the
   // producing scan's commit time, never at "now". Eager invalidation (at
@@ -527,28 +512,39 @@ void WebDatabaseServer::CommitQuery(Query& query) {
 void WebDatabaseServer::ApplyUpdate(Update& update) {
   update.state = TxnState::kCommitted;
   update.commit_time = sim_->Now();
+  last_completion_ = update.commit_time;
   db_->ApplyUpdate(update.item, update.item_arrival_seq, update.value,
                    sim_->Now());
   // An entry filled after this update's arrival (on a then-fresh item)
   // must not survive the value changing underneath it.
   if (config_.fusion.result_cache) result_cache_.InvalidateItem(update.item);
-  active_updates_.erase(update.item);
+  ClearActiveUpdate(update);
   ++metrics_.updates_applied;
   metrics_.update_latency_ms.Add(ToMillis(update.ApplyLatency()));
   Trace(update, TraceEventType::kCommit, ToMillis(update.ApplyLatency()));
 }
 
+void WebDatabaseServer::ClearActiveUpdate(const Update& update) {
+  Update*& active = active_updates_[update.item];
+  if (active != &update) return;
+  active = nullptr;
+  --num_active_updates_;
+}
+
 void WebDatabaseServer::OnLifetimeDeadline(TxnId id) {
   Query& query = QueryFor(id);
-  // Not queued: committed, running, shed — or fused, in which case it
-  // settles with the scan it rides on (zero profit when expired) or is
-  // dropped at dissolution.
+  query.lifetime_event = 0;
+  // Commit and shed cancel this event, so the query is still in flight.
+  // Running, it commits late for zero profit; fused, it settles with the
+  // scan it rides on (zero profit) or drops at dissolution — which may
+  // already have happened at this very instant.
   if (query.state != TxnState::kQueued) return;
   // A preempted leader dropped at its deadline takes its scan with it.
   DissolveFusionGroup(query);
   UnindexForFusion(query);
   sched_->RemoveQueued(&query, sim_->Now());
-  locks_.ReleaseAll(id);  // it may have been preempted while holding locks
+  // It may have been preempted while holding locks.
+  locks_.Release(id, LockSet(query));
   query.state = TxnState::kDropped;
   ++metrics_.queries_dropped;
   if (config_.tenants != nullptr) ++*metrics_.Tenant(query.tenant).dropped;
@@ -567,7 +563,9 @@ bool WebDatabaseServer::Shed(TxnId id) {
   DissolveFusionGroup(query);
   UnindexForFusion(query);
   sched_->RemoveQueued(&query, sim_->Now());
-  locks_.ReleaseAll(id);  // it may have been preempted while holding locks
+  // It may have been preempted while holding locks.
+  locks_.Release(id, LockSet(query));
+  CancelLifetimeEvent(query);
   query.state = TxnState::kShed;
   ++metrics_.queries_shed;
   if (config_.tenants != nullptr) ++*metrics_.Tenant(query.tenant).shed;
@@ -582,6 +580,12 @@ bool WebDatabaseServer::Shed(TxnId id) {
   return true;
 }
 
+void WebDatabaseServer::CancelLifetimeEvent(Query& query) {
+  if (query.lifetime_event == 0) return;
+  sim_->Cancel(query.lifetime_event);
+  query.lifetime_event = 0;
+}
+
 void WebDatabaseServer::MaybeIndexForFusion(Query& query) {
   if (!config_.fusion.enabled) return;
   if (query.state != TxnState::kQueued) return;
@@ -593,7 +597,8 @@ void WebDatabaseServer::MaybeIndexForFusion(Query& query) {
   // Preempt-resumed queries carry progress and (under 2PL-HP) locks;
   // fusing one would discard real work or attach a lock holder. Only fresh
   // arrivals and clean restarts are candidates.
-  if (query.remaining != query.service_time || locks_.HoldsAny(query.id)) {
+  if (query.remaining != query.service_time ||
+      locks_.Holds(query.id, query.items)) {
     return;
   }
   if (EffectiveFusionDomain(query) < 0) return;
@@ -787,10 +792,10 @@ void WebDatabaseServer::ScheduleWake() {
 }
 
 double WebDatabaseServer::CpuUtilization() const {
-  const SimTime now = sim_->Now();
-  if (now <= 0) return 0.0;
+  if (last_completion_ <= first_arrival_) return 0.0;
   return static_cast<double>(cpus_.TotalBusyTime()) /
-         (static_cast<double>(now) * cpus_.num_cpus());
+         (static_cast<double>(last_completion_ - first_arrival_) *
+          cpus_.num_cpus());
 }
 
 void WebDatabaseServer::AuditInvariants() const {
@@ -1012,38 +1017,26 @@ void WebDatabaseServer::AuditInvariants() const {
                      "register entry for item " + std::to_string(item) +
                          " is not the newest arrival");
   }
-  // lint:allow(unordered-serialization) per-entry audit, order-free
-  for (const auto& [item, update] : active_updates_) {
+  size_t active_updates = 0;
+  for (size_t i = 0; i < active_updates_.size(); ++i) {
+    const Update* update = active_updates_[i];
+    if (update == nullptr) continue;
+    ++active_updates;
     WEBDB_AUDIT_THAT(Invariant::kRegisterNewestWins,
-                     update->item == item &&
+                     update->item == static_cast<ItemId>(i) &&
                          (update->state == TxnState::kQueued ||
                           update->state == TxnState::kRunning),
-                     "active update on item " + std::to_string(item) +
+                     "active update on item " + std::to_string(i) +
                          " is neither running nor preempted");
   }
+  WEBDB_AUDIT_THAT(Invariant::kRegisterNewestWins,
+                   active_updates == num_active_updates_,
+                   "active-update count disagrees with the per-item slots");
 
   // --- lock table ---------------------------------------------------------
-  locks_.AuditConsistency();
-  for (const Query& query : queries_) {
-    if (query.state == TxnState::kCommitted ||
-        query.state == TxnState::kDropped ||
-        query.state == TxnState::kRejected ||
-        query.state == TxnState::kShed) {
-      WEBDB_AUDIT_THAT(Invariant::kLockTableConsistent,
-                       !locks_.HoldsAny(query.id),
-                       "finished query " + std::to_string(query.id) +
-                           " leaked locks");
-    }
-  }
-  for (const Update& update : updates_) {
-    if (update.state == TxnState::kCommitted ||
-        update.state == TxnState::kInvalidated) {
-      WEBDB_AUDIT_THAT(Invariant::kLockTableConsistent,
-                       !locks_.HoldsAny(update.id),
-                       "finished update " + std::to_string(update.id) +
-                           " leaked locks");
-    }
-  }
+  // Walks every grant: a finished transaction still holding a lock (a leak)
+  // or a lock outside the holder's lock set fails here.
+  locks_.AuditConsistency([self](TxnId id) { return self->Lookup(id); });
 
   // --- fusion groups (shared execution, DESIGN.md §13) ---------------------
   // The kFused population is exactly the union of the live groups' members,
@@ -1080,7 +1073,8 @@ void WebDatabaseServer::AuditInvariants() const {
                          member.fused_into == leader_id,
                          "member " + std::to_string(member_id) +
                              " does not point back at its leader");
-        WEBDB_AUDIT_THAT(Invariant::kFusionGroup, !locks_.HoldsAny(member_id),
+        WEBDB_AUDIT_THAT(Invariant::kFusionGroup,
+                         !locks_.Holds(member_id, member.items),
                          "fused member " + std::to_string(member_id) +
                              " holds locks");
         WEBDB_AUDIT_THAT(Invariant::kFusionGroup,

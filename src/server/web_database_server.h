@@ -24,7 +24,6 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "db/database.h"
@@ -105,7 +104,10 @@ class WebDatabaseServer : private ShedSink {
   const StableVector<Query>& queries() const { return queries_; }
   const StableVector<Update>& updates() const { return updates_; }
   int NumCpus() const { return cpus_.num_cpus(); }
-  // Mean utilization across the CPU set: total busy time / (now * CPUs).
+  // Mean utilization across the CPU set over the active period: total busy
+  // time / ((last commit or apply - first arrival) * CPUs). Idle time on
+  // the clock after the last completion does not dilute it. 0 until
+  // something completes after the first arrival.
   double CpuUtilization() const;
   // Total CPU busy time accumulated across the pool — the denominator of
   // profit-per-CPU-second (the fusion headline metric).
@@ -137,8 +139,9 @@ class WebDatabaseServer : private ShedSink {
   //     the submissions;
   //   * update-register newest-wins — each pending register entry points at
   //     a queued update carrying its item's newest arrival sequence;
-  //   * lock-table consistency (LockManager::AuditConsistency), and that
-  //     every lock holder is still queued (preempted) or running;
+  //   * lock-table consistency — a walk of the dense lock table
+  //     (LockManager::AuditConsistency): every grant belongs to a queued
+  //     (preempted) or running transaction whose lock set holds the item;
   //   * profit-ledger conservation — the ledger's per-query counters and
   //     series totals agree with the obs::MetricRegistry lifecycle counters.
   // Compiled in every build and callable from tests; runs automatically
@@ -156,6 +159,14 @@ class WebDatabaseServer : private ShedSink {
   uint64_t EndStateHash() const;
 
  private:
+  // Every public constructor lands here: `owned_sim` (or the shared
+  // `simulator` when null) drives the server, and `adapter` (when set)
+  // stands in for `scheduler`.
+  WebDatabaseServer(std::unique_ptr<Simulator> owned_sim, Simulator* simulator,
+                    Database* database, CpuSetScheduler* scheduler,
+                    std::unique_ptr<SingleCpuAdapter> adapter,
+                    ServerConfig config);
+
   Transaction* Lookup(TxnId id);
   Query& QueryFor(TxnId id);
   Update& UpdateFor(TxnId id);
@@ -165,8 +176,8 @@ class WebDatabaseServer : private ShedSink {
   void OnSchedulingEvent();
   // Dispatches `txn` onto CPU `cpu`, resolving 2PL-HP conflicts first.
   void Dispatch(CpuId cpu, Transaction* txn);
-  void ResolveConflicts(Transaction* txn, LockMode mode,
-                        const std::vector<ItemId>& items);
+  // Restarts every holder whose locks conflict with `txn`'s lock set.
+  void ResolveConflicts(Transaction* txn);
   // True when dispatching `txn` would conflict with a transaction running
   // on another CPU right now (multi-core only; an idle single-CPU server
   // has no running holders).
@@ -178,6 +189,9 @@ class WebDatabaseServer : private ShedSink {
   void OnTxnComplete(CpuId cpu, TxnId id);
   void CommitQuery(Query& query);
   void ApplyUpdate(Update& update);
+  // `update` stopped being the item's dispatched update (applied,
+  // invalidated, or restarted back to pending): empty its active slot.
+  void ClearActiveUpdate(const Update& update);
   // --- shared execution (DESIGN.md §13); all no-ops when fusion is off ----
   // Indexes `query` as a fusion candidate if eligible: queued, no partial
   // progress, no locks, item set within bounds and on one fusion domain.
@@ -211,6 +225,9 @@ class WebDatabaseServer : private ShedSink {
   // Drops a superseded update (pending or preempted/running-active).
   void InvalidateUpdate(Update& update);
   void OnLifetimeDeadline(TxnId id);
+  // Commit and shed end a query's lifetime: its deadline event could only
+  // fire as a no-op, so it leaves the event list now.
+  void CancelLifetimeEvent(Query& query);
   // ShedSink: evicts the queued query `id` on behalf of the admission
   // controller (state -> kShed); returns false when no longer queued.
   bool Shed(TxnId id) override;
@@ -227,8 +244,14 @@ class WebDatabaseServer : private ShedSink {
   // Owned adapter when constructed with a legacy single-CPU Scheduler.
   std::unique_ptr<SingleCpuAdapter> owned_adapter_;
   ProcessorPool cpus_;
+  // Per-item state, sized from the database (item ids are dense).
   LockManager locks_;
   UpdateRegister register_;
+  // Updates that were dispatched at least once and are still alive (running
+  // or preempted), indexed by item: at most one per item, nullptr for none.
+  // Needed for write-write drops of already-dispatched updates.
+  std::vector<Update*> active_updates_;
+  size_t num_active_updates_ = 0;
   ProfitLedger ledger_;
   ServerMetrics metrics_;
 
@@ -237,10 +260,10 @@ class WebDatabaseServer : private ShedSink {
   StableVector<Query> queries_;
   StableVector<Update> updates_;
 
-  // Updates that were dispatched at least once and are still alive (running
-  // or preempted); at most one per item. Needed for write-write drops of
-  // already-dispatched updates.
-  std::unordered_map<ItemId, Update*> active_updates_;
+  // The active period CpuUtilization divides by: the first submission and
+  // the latest commit or apply.
+  SimTime first_arrival_ = kSimTimeMax;
+  SimTime last_completion_ = 0;
 
   // Shared execution: candidate index over queued fusible queries, and the
   // live groups keyed by leader id (std::map: the auditor walks it).

@@ -18,8 +18,11 @@
 // primitives keep it current), so Cancel removes the heap entry eagerly in
 // O(log n) instead of leaving a tombstone. The heap always holds exactly
 // the pending events: a workload that schedules far-future deadlines and
-// cancels nearly all of them (the server's lifetime-deadline pattern) keeps
-// a heap of live size, not live size plus a long tail of dead entries.
+// cancels nearly all of them keeps a heap of live size, not live size plus
+// a long tail of dead entries. The server's lifetime deadlines are that
+// pattern: each query schedules one at submission, and commit (solo or as
+// a fused member) and admission shedding cancel it, so only the deadlines
+// of queries still in flight are pending.
 
 #ifndef WEBDB_SIM_SIMULATOR_H_
 #define WEBDB_SIM_SIMULATOR_H_

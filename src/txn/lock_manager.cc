@@ -8,18 +8,58 @@
 
 namespace webdb {
 
-std::vector<TxnId> LockManager::Conflicts(
-    TxnId txn, LockMode mode, const std::vector<ItemId>& items) const {
+namespace {
+
+bool Contains(std::span<const TxnId> holders, TxnId txn) {
+  return std::find(holders.begin(), holders.end(), txn) != holders.end();
+}
+
+// One grant of the lock-table walk: `holder` locks `item` in `mode`.
+void AuditGrant(ItemId item, TxnId holder, LockMode mode,
+                const LockManager::TxnLookup& lookup) {
+  using audit::Invariant;
+  const Transaction* txn = lookup(holder);
+  WEBDB_AUDIT_THAT(
+      Invariant::kLockTableConsistent,
+      txn != nullptr && (txn->state == TxnState::kQueued ||
+                         txn->state == TxnState::kRunning),
+      "lock on item " + std::to_string(item) + " leaked by txn " +
+          std::to_string(holder) + ", which is not queued or running");
+  const std::span<const ItemId> lock_set = LockSet(*txn);
+  WEBDB_AUDIT_THAT(
+      Invariant::kLockTableConsistent,
+      mode == LockModeOf(*txn) &&
+          std::find(lock_set.begin(), lock_set.end(), item) != lock_set.end(),
+      "txn " + std::to_string(holder) + " holds item " + std::to_string(item) +
+          " outside its lock set");
+}
+
+}  // namespace
+
+LockManager::LockManager(int32_t num_items) {
+  WEBDB_CHECK(num_items >= 0);
+  table_.resize(static_cast<size_t>(num_items));
+}
+
+const LockManager::ItemLocks& LockManager::Entry(ItemId item) const {
+  WEBDB_DCHECK(item >= 0 && static_cast<size_t>(item) < table_.size());
+  return table_[static_cast<size_t>(item)];
+}
+
+LockManager::ItemLocks& LockManager::Entry(ItemId item) {
+  WEBDB_DCHECK(item >= 0 && static_cast<size_t>(item) < table_.size());
+  return table_[static_cast<size_t>(item)];
+}
+
+std::vector<TxnId> LockManager::Conflicts(TxnId txn, LockMode mode,
+                                          std::span<const ItemId> items) const {
   std::vector<TxnId> out;
   for (ItemId item : items) {
-    auto it = locks_.find(item);
-    if (it == locks_.end()) continue;
-    const ItemLocks& entry = it->second;
+    const ItemLocks& entry = Entry(item);
     if (entry.exclusive != 0 && entry.exclusive != txn) {
       out.push_back(entry.exclusive);
     }
     if (mode == LockMode::kExclusive) {
-      // lint:allow(unordered-serialization) collected, then sorted below
       for (TxnId holder : entry.shared) {
         if (holder != txn) out.push_back(holder);
       }
@@ -31,7 +71,7 @@ std::vector<TxnId> LockManager::Conflicts(
 }
 
 void LockManager::Acquire(TxnId txn, LockMode mode,
-                          const std::vector<ItemId>& items) {
+                          std::span<const ItemId> items) {
   // Lock-table probe on every dispatch: the conflict re-scan is O(items)
   // and the server has just resolved conflicts itself, so this whole
   // precondition block is debug-tier (2PL-HP conflict-freedom).
@@ -45,87 +85,79 @@ void LockManager::Acquire(TxnId txn, LockMode mode,
     WEBDB_DCHECK_MSG(Conflicts(txn, mode, items).empty(),
                      "Acquire with unresolved conflicts");
   }
-  auto& held = held_[txn];
   for (ItemId item : items) {
-    ItemLocks& entry = locks_[item];
+    ItemLocks& entry = Entry(item);
+    const bool was_free = entry.Empty();
     if (mode == LockMode::kExclusive) {
       if (entry.exclusive == txn) continue;  // re-entrant
       entry.exclusive = txn;
     } else {
-      if (!entry.shared.insert(txn).second) continue;  // re-entrant
+      if (Contains(entry.shared, txn)) continue;  // re-entrant
+      entry.shared.push_back(txn);
     }
-    held.push_back(item);
+    if (was_free) ++locked_items_;
   }
 }
 
-void LockManager::ReleaseAll(TxnId txn) {
-  auto it = held_.find(txn);
-  if (it == held_.end()) return;
-  for (ItemId item : it->second) {
-    auto lit = locks_.find(item);
-    WEBDB_DCHECK(lit != locks_.end());
-    ItemLocks& entry = lit->second;
-    if (entry.exclusive == txn) entry.exclusive = 0;
-    entry.shared.erase(txn);
-    if (entry.Empty()) locks_.erase(lit);
+void LockManager::Release(TxnId txn, std::span<const ItemId> items) {
+  WEBDB_DCHECK(txn != 0);
+  for (ItemId item : items) {
+    ItemLocks& entry = Entry(item);
+    if (entry.Empty()) continue;
+    bool released = false;
+    if (entry.exclusive == txn) {
+      entry.exclusive = 0;
+      released = true;
+    }
+    const auto it = std::find(entry.shared.begin(), entry.shared.end(), txn);
+    if (it != entry.shared.end()) {
+      // Holder order is unspecified (Conflicts sorts), so swap-and-pop.
+      *it = entry.shared.back();
+      entry.shared.pop_back();
+      released = true;
+    }
+    if (released && entry.Empty()) --locked_items_;
   }
-  held_.erase(it);
 }
 
-bool LockManager::HoldsAny(TxnId txn) const { return held_.count(txn) > 0; }
-
-TxnId LockManager::ExclusiveHolder(ItemId item) const {
-  auto it = locks_.find(item);
-  return it == locks_.end() ? 0 : it->second.exclusive;
+bool LockManager::Holds(TxnId txn, std::span<const ItemId> items) const {
+  WEBDB_DCHECK(txn != 0);
+  for (ItemId item : items) {
+    const ItemLocks& entry = Entry(item);
+    if (entry.exclusive == txn || Contains(entry.shared, txn)) return true;
+  }
+  return false;
 }
 
-std::vector<TxnId> LockManager::SharedHolders(ItemId item) const {
-  auto it = locks_.find(item);
-  if (it == locks_.end()) return {};
-  return std::vector<TxnId>(it->second.shared.begin(),
-                            it->second.shared.end());
-}
-
-void LockManager::AuditConsistency() const {
+void LockManager::AuditConsistency(const TxnLookup& lookup) const {
   using audit::Invariant;
-  // Count how many (txn, item) lock grants the table side describes; the
-  // held_ side must describe exactly the same number, and every held item
-  // must be found in the table — together that proves the two indexes are
-  // the same relation (no leaked and no phantom locks).
-  size_t table_grants = 0;
-  // lint:allow(unordered-serialization) commutative grant count
-  for (const auto& [item, entry] : locks_) {
-    WEBDB_AUDIT_THAT(Invariant::kLockTableConsistent, !entry.Empty(),
-                     "empty lock entry lingers for item " +
-                         std::to_string(item));
+  size_t locked = 0;
+  for (size_t i = 0; i < table_.size(); ++i) {
+    const ItemLocks& entry = table_[i];
+    if (entry.Empty()) continue;
+    ++locked;
+    const auto item = static_cast<ItemId>(i);
     WEBDB_AUDIT_THAT(
         Invariant::kLockTableConsistent,
         entry.exclusive == 0 || entry.shared.empty(),
         "item " + std::to_string(item) + " has shared and exclusive holders");
-    table_grants += entry.shared.size() + (entry.exclusive != 0 ? 1 : 0);
-  }
-  size_t held_grants = 0;
-  // lint:allow(unordered-serialization) commutative grant count
-  for (const auto& [txn, items] : held_) {
-    WEBDB_AUDIT_THAT(Invariant::kLockTableConsistent, !items.empty(),
-                     "txn " + std::to_string(txn) + " holds an empty set");
-    held_grants += items.size();
-    for (ItemId item : items) {
-      auto it = locks_.find(item);
-      const bool granted =
-          it != locks_.end() && (it->second.exclusive == txn ||
-                                 it->second.shared.count(txn) > 0);
-      WEBDB_AUDIT_THAT(Invariant::kLockTableConsistent, granted,
-                       "txn " + std::to_string(txn) + " lists item " +
-                           std::to_string(item) +
-                           " but the lock table does not grant it");
+    if (entry.exclusive != 0) {
+      AuditGrant(item, entry.exclusive, LockMode::kExclusive, lookup);
+    }
+    for (size_t k = 0; k < entry.shared.size(); ++k) {
+      const TxnId holder = entry.shared[k];
+      WEBDB_AUDIT_THAT(Invariant::kLockTableConsistent,
+                       !Contains(std::span(entry.shared).first(k), holder),
+                       "txn " + std::to_string(holder) +
+                           " is listed twice as a shared holder of item " +
+                           std::to_string(item));
+      AuditGrant(item, holder, LockMode::kShared, lookup);
     }
   }
-  WEBDB_AUDIT_THAT(Invariant::kLockTableConsistent,
-                   table_grants == held_grants,
-                   "lock table describes " + std::to_string(table_grants) +
-                       " grants but held index describes " +
-                       std::to_string(held_grants));
+  WEBDB_AUDIT_THAT(Invariant::kLockTableConsistent, locked == locked_items_,
+                   "lock table has " + std::to_string(locked) +
+                       " locked items but counts " +
+                       std::to_string(locked_items_));
 }
 
 }  // namespace webdb

@@ -8,13 +8,20 @@
 // which knows the schedulers' current priorities. With a single CPU, a
 // conflict can only involve the transaction being dispatched and
 // transactions that were preempted while holding locks.
+//
+// Item ids are dense (0..num_items-1), so the table is a flat per-item
+// array: an exclusive holder plus a shared-holder vector that keeps its
+// capacity across releases, so steady-state locking never allocates. There
+// is no per-transaction index: callers pass a transaction's lock set
+// (LockSet below) to Release and Holds.
 
 #ifndef WEBDB_TXN_LOCK_MANAGER_H_
 #define WEBDB_TXN_LOCK_MANAGER_H_
 
 #include <cstddef>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "db/data_item.h"
@@ -24,49 +31,75 @@ namespace webdb {
 
 enum class LockMode { kShared, kExclusive };
 
+// The items `txn` locks under 2PL-HP, and in which mode: a query read-locks
+// its whole item set, an update write-locks its single item.
+inline std::span<const ItemId> LockSet(const Transaction& txn) {
+  if (txn.kind == TxnKind::kQuery) return static_cast<const Query&>(txn).items;
+  return {&static_cast<const Update&>(txn).item, 1};
+}
+inline LockMode LockModeOf(const Transaction& txn) {
+  return txn.kind == TxnKind::kQuery ? LockMode::kShared : LockMode::kExclusive;
+}
+
 class LockManager {
  public:
-  LockManager() = default;
+  // An empty table over items 0..num_items-1.
+  explicit LockManager(int32_t num_items);
 
   // Transactions (other than `txn`) whose current locks conflict with `txn`
-  // locking `items` in `mode`. Duplicates removed; order unspecified.
+  // locking `items` in `mode`. Sorted ascending, duplicates removed.
   std::vector<TxnId> Conflicts(TxnId txn, LockMode mode,
-                               const std::vector<ItemId>& items) const;
+                               std::span<const ItemId> items) const;
 
   // Acquires locks on `items` in `mode`. All conflicts must have been
   // resolved (checked). Re-entrant acquisition by the same holder is a no-op
   // per item.
-  void Acquire(TxnId txn, LockMode mode, const std::vector<ItemId>& items);
+  void Acquire(TxnId txn, LockMode mode, std::span<const ItemId> items);
 
-  // Releases every lock held by `txn` (commit, restart, or abort).
-  void ReleaseAll(TxnId txn);
+  // Releases `txn`'s locks on `items` — its lock set, on commit, restart or
+  // abort. Items it does not hold are skipped.
+  void Release(TxnId txn, std::span<const ItemId> items);
 
-  bool HoldsAny(TxnId txn) const;
+  // True when `txn` holds a lock on any of `items`.
+  bool Holds(TxnId txn, std::span<const ItemId> items) const;
+
   // Exclusive holder of `item`, or 0.
-  TxnId ExclusiveHolder(ItemId item) const;
-  // Shared holders of `item` (order unspecified).
-  std::vector<TxnId> SharedHolders(ItemId item) const;
+  TxnId ExclusiveHolder(ItemId item) const { return Entry(item).exclusive; }
+  // Shared holders of `item` (order unspecified); valid until the next
+  // Acquire or Release.
+  std::span<const TxnId> SharedHolders(ItemId item) const {
+    return Entry(item).shared;
+  }
 
-  size_t NumLockedItems() const { return locks_.size(); }
+  // Items with at least one holder.
+  size_t NumLockedItems() const { return locked_items_; }
+
+  // Resolves a holder id to its transaction (nullptr when unknown).
+  using TxnLookup = std::function<const Transaction*(TxnId)>;
 
   // Deep consistency audit (invariant [lock-table-consistent], DESIGN.md
-  // §8): the per-item lock table and the per-transaction held-items index
-  // must describe the same set of locks, no item may carry shared and
-  // exclusive holders simultaneously (2PL-HP resolves every conflict before
-  // Acquire), and no empty entry may linger. Aborts on violation. O(locks);
-  // compiled in every build, called automatically under -DWEBDB_AUDIT=ON
-  // and directly by tests.
-  void AuditConsistency() const;
+  // §8), a walk of the whole table: no item carries shared and exclusive
+  // holders at once (2PL-HP resolves every conflict before Acquire), no
+  // shared holder is listed twice, the locked-item count is exact, and
+  // every grant belongs to a queued (preempted) or running transaction
+  // whose lock set contains the item in that mode — so a finished
+  // transaction's leftover lock fails. Aborts on violation. O(items +
+  // grants); compiled in every build, run by
+  // WebDatabaseServer::AuditInvariants and directly by tests.
+  void AuditConsistency(const TxnLookup& lookup) const;
 
  private:
   struct ItemLocks {
     TxnId exclusive = 0;
-    std::unordered_set<TxnId> shared;
+    std::vector<TxnId> shared;
     bool Empty() const { return exclusive == 0 && shared.empty(); }
   };
 
-  std::unordered_map<ItemId, ItemLocks> locks_;
-  std::unordered_map<TxnId, std::vector<ItemId>> held_;
+  const ItemLocks& Entry(ItemId item) const;
+  ItemLocks& Entry(ItemId item);
+
+  std::vector<ItemLocks> table_;  // index = item id
+  size_t locked_items_ = 0;
 };
 
 }  // namespace webdb

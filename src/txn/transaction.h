@@ -11,6 +11,7 @@
 
 #include "db/data_item.h"
 #include "qc/quality_contract.h"
+#include "sim/simulator.h"
 #include "util/time.h"
 
 namespace webdb {
@@ -93,19 +94,21 @@ struct Transaction {
   // Remaining CPU demand of the current attempt (== service_time after a
   // restart, less after a preempt-resume).
   SimDuration remaining = 0;
-  // Number of 2PL-HP restarts suffered.
-  int restarts = 0;
   // Bumped on every scheduler enqueue; lets queues with lazy deletion tell
   // live entries from stale ones (see TxnQueue).
   uint64_t enqueue_epoch = 0;
+  // The queue currently holding this transaction's live entry, or nullptr.
+  // Maintained by TxnQueue; a transaction is live in at most one queue.
+  TxnQueue* live_queue = nullptr;
+  // The 4-byte fields below sit together, last: 12 bytes instead of three
+  // padded 8-byte slots, and Query/Update start in the tail padding.
+  // Number of 2PL-HP restarts suffered.
+  int restarts = 0;
   // CPU currently executing this transaction (valid iff state == kRunning;
   // -1 otherwise). Maintained by the server's dispatch/complete paths so
   // cross-CPU aborts (update invalidation, 2PL-HP restarts) find their
   // processor in O(1).
   int32_t cpu = -1;
-  // The queue currently holding this transaction's live entry, or nullptr.
-  // Maintained by TxnQueue; a transaction is live in at most one queue.
-  TxnQueue* live_queue = nullptr;
   // Tenant tier this transaction was submitted under.
   TenantId tenant = 0;
 };
@@ -116,6 +119,9 @@ struct Query : Transaction {
   QualityContract qc;
   // Absolute drop deadline (arrival + lifetime), set by the server.
   SimTime lifetime_deadline = kSimTimeMax;
+  // The pending lifetime-deadline event, or 0: cancelled at commit and
+  // shed, cleared when it fires.
+  EventId lifetime_event = 0;
   // Commit-time outcome (valid once state == kCommitted).
   SimTime commit_time = 0;
   double staleness = 0.0;

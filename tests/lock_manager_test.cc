@@ -1,6 +1,8 @@
 #include "txn/lock_manager.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <map>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -8,106 +10,215 @@
 #include "sched/dual_queue_scheduler.h"
 #include "sched/fifo_scheduler.h"
 #include "server/web_database_server.h"
+#include "test_txns.h"
 #include "util/logging.h"
 
 namespace webdb {
 namespace {
 
+constexpr int32_t kNumItems = 8;
+
+// A lock set for the span API (std::span has no initializer-list
+// constructor before C++26).
+std::vector<ItemId> Items(std::initializer_list<ItemId> ids) { return ids; }
+
 TEST(LockManagerTest, SharedLocksCoexist) {
-  LockManager lm;
-  EXPECT_TRUE(lm.Conflicts(2, LockMode::kShared, {1, 2}).empty());
-  lm.Acquire(2, LockMode::kShared, {1, 2});
-  EXPECT_TRUE(lm.Conflicts(4, LockMode::kShared, {1, 2}).empty());
-  lm.Acquire(4, LockMode::kShared, {2, 3});
-  EXPECT_TRUE(lm.HoldsAny(2));
-  EXPECT_TRUE(lm.HoldsAny(4));
-  const auto holders = lm.SharedHolders(2);
-  EXPECT_EQ(holders.size(), 2u);
+  LockManager lm(kNumItems);
+  EXPECT_TRUE(lm.Conflicts(2, LockMode::kShared, Items({1, 2})).empty());
+  lm.Acquire(2, LockMode::kShared, Items({1, 2}));
+  EXPECT_TRUE(lm.Conflicts(4, LockMode::kShared, Items({1, 2})).empty());
+  lm.Acquire(4, LockMode::kShared, Items({2, 3}));
+  EXPECT_TRUE(lm.Holds(2, Items({1, 2})));
+  EXPECT_TRUE(lm.Holds(4, Items({2, 3})));
+  EXPECT_EQ(lm.SharedHolders(2).size(), 2u);
+  EXPECT_EQ(lm.NumLockedItems(), 3u);
 }
 
 TEST(LockManagerTest, ExclusiveConflictsWithShared) {
-  LockManager lm;
-  lm.Acquire(2, LockMode::kShared, {5});
-  const auto conflicts = lm.Conflicts(3, LockMode::kExclusive, {5});
+  LockManager lm(kNumItems);
+  lm.Acquire(2, LockMode::kShared, Items({5}));
+  const auto conflicts = lm.Conflicts(3, LockMode::kExclusive, Items({5}));
   ASSERT_EQ(conflicts.size(), 1u);
   EXPECT_EQ(conflicts[0], 2u);
 }
 
 TEST(LockManagerTest, SharedConflictsWithExclusive) {
-  LockManager lm;
-  lm.Acquire(3, LockMode::kExclusive, {5});
+  LockManager lm(kNumItems);
+  lm.Acquire(3, LockMode::kExclusive, Items({5}));
   EXPECT_EQ(lm.ExclusiveHolder(5), 3u);
-  const auto conflicts = lm.Conflicts(2, LockMode::kShared, {4, 5});
+  const auto conflicts = lm.Conflicts(2, LockMode::kShared, Items({4, 5}));
   ASSERT_EQ(conflicts.size(), 1u);
   EXPECT_EQ(conflicts[0], 3u);
 }
 
 TEST(LockManagerTest, NoSelfConflict) {
-  LockManager lm;
-  lm.Acquire(2, LockMode::kShared, {1});
-  EXPECT_TRUE(lm.Conflicts(2, LockMode::kShared, {1}).empty());
+  LockManager lm(kNumItems);
+  lm.Acquire(2, LockMode::kShared, Items({1}));
+  EXPECT_TRUE(lm.Conflicts(2, LockMode::kShared, Items({1})).empty());
 }
 
 TEST(LockManagerTest, ConflictsDeduplicated) {
-  LockManager lm;
-  lm.Acquire(2, LockMode::kShared, {1, 2, 3});
-  const auto conflicts = lm.Conflicts(5, LockMode::kExclusive, {1});
+  LockManager lm(kNumItems);
+  lm.Acquire(2, LockMode::kShared, Items({1, 2, 3}));
+  const auto conflicts = lm.Conflicts(5, LockMode::kExclusive, Items({1}));
   EXPECT_EQ(conflicts.size(), 1u);
   // A query over several items held by the same exclusive holder reports it
   // once.
-  LockManager lm2;
-  lm2.Acquire(3, LockMode::kExclusive, {1});
-  lm2.Acquire(5, LockMode::kExclusive, {2});
-  auto multi = lm2.Conflicts(2, LockMode::kShared, {1, 2});
+  LockManager lm2(kNumItems);
+  lm2.Acquire(3, LockMode::kExclusive, Items({1}));
+  lm2.Acquire(5, LockMode::kExclusive, Items({2}));
+  auto multi = lm2.Conflicts(2, LockMode::kShared, Items({1, 2}));
   std::sort(multi.begin(), multi.end());
   EXPECT_EQ(multi, (std::vector<TxnId>{3, 5}));
 }
 
+TEST(LockManagerTest, ConflictsAreSortedAcrossSharedHolders) {
+  // Resolution order is the restart order, so it must not depend on the
+  // order holders were listed in (Release swaps them around).
+  LockManager lm(kNumItems);
+  for (TxnId holder : {8, 2, 6, 4}) {
+    lm.Acquire(holder, LockMode::kShared, Items({1}));
+  }
+  lm.Release(2, Items({1}));
+  EXPECT_EQ(lm.Conflicts(3, LockMode::kExclusive, Items({1})),
+            (std::vector<TxnId>{4, 6, 8}));
+}
+
 TEST(LockManagerTest, ReleaseAllFreesEverything) {
-  LockManager lm;
-  lm.Acquire(2, LockMode::kShared, {1, 2, 3});
-  lm.ReleaseAll(2);
-  EXPECT_FALSE(lm.HoldsAny(2));
+  LockManager lm(kNumItems);
+  lm.Acquire(2, LockMode::kShared, Items({1, 2, 3}));
+  lm.Release(2, Items({1, 2, 3}));
+  EXPECT_FALSE(lm.Holds(2, Items({1, 2, 3})));
   EXPECT_EQ(lm.NumLockedItems(), 0u);
-  EXPECT_TRUE(lm.Conflicts(3, LockMode::kExclusive, {1, 2, 3}).empty());
+  EXPECT_TRUE(lm.Conflicts(3, LockMode::kExclusive, Items({1, 2, 3})).empty());
 }
 
 TEST(LockManagerTest, ReleaseUnknownIsNoop) {
-  LockManager lm;
-  lm.ReleaseAll(99);  // must not crash
-  EXPECT_FALSE(lm.HoldsAny(99));
+  LockManager lm(kNumItems);
+  lm.Acquire(2, LockMode::kShared, Items({1}));
+  lm.Release(99, Items({1, 2}));  // holds nothing: must not crash
+  EXPECT_FALSE(lm.Holds(99, Items({1, 2})));
+  EXPECT_TRUE(lm.Holds(2, Items({1})));
+  EXPECT_EQ(lm.NumLockedItems(), 1u);
 }
 
 TEST(LockManagerTest, ReentrantAcquireIsIdempotent) {
-  LockManager lm;
-  lm.Acquire(2, LockMode::kShared, {1});
-  lm.Acquire(2, LockMode::kShared, {1, 2});  // re-acquire 1, add 2
-  lm.ReleaseAll(2);
+  LockManager lm(kNumItems);
+  lm.Acquire(2, LockMode::kShared, Items({1}));
+  lm.Acquire(2, LockMode::kShared, Items({1, 2}));  // re-acquire 1, add 2
+  lm.Release(2, Items({1, 2}));
+  EXPECT_EQ(lm.NumLockedItems(), 0u);
+}
+
+TEST(LockManagerTest, ReentrantSharedAcquireListsHolderOnce) {
+  LockManager lm(kNumItems);
+  lm.Acquire(2, LockMode::kShared, Items({1}));
+  lm.Acquire(4, LockMode::kShared, Items({1}));
+  lm.Acquire(2, LockMode::kShared, Items({1, 1}));  // again, twice over
+  ASSERT_EQ(lm.SharedHolders(1).size(), 2u);
+  EXPECT_EQ(std::count(lm.SharedHolders(1).begin(),
+                       lm.SharedHolders(1).end(), TxnId{2}),
+            1);
+  EXPECT_EQ(lm.NumLockedItems(), 1u);
+  // One release drops the single listing; the other holder keeps the item.
+  lm.Release(2, Items({1}));
+  EXPECT_FALSE(lm.Holds(2, Items({1})));
+  EXPECT_TRUE(lm.Holds(4, Items({1})));
+  EXPECT_EQ(lm.NumLockedItems(), 1u);
+  lm.Release(4, Items({1}));
+  EXPECT_EQ(lm.NumLockedItems(), 0u);
+}
+
+TEST(LockManagerTest, HighestItemIdIsUsable) {
+  LockManager lm(kNumItems);
+  const ItemId last = kNumItems - 1;
+  lm.Acquire(3, LockMode::kExclusive, Items({last}));
+  EXPECT_EQ(lm.ExclusiveHolder(last), 3u);
+  EXPECT_EQ(lm.Conflicts(2, LockMode::kShared, Items({0, last})),
+            (std::vector<TxnId>{3}));
+  lm.Release(3, Items({last}));
+  EXPECT_EQ(lm.ExclusiveHolder(last), 0u);
   EXPECT_EQ(lm.NumLockedItems(), 0u);
 }
 
 TEST(LockManagerTest, ExclusiveThenReleaseAllowsNewExclusive) {
-  LockManager lm;
-  lm.Acquire(3, LockMode::kExclusive, {7});
-  lm.ReleaseAll(3);
-  EXPECT_TRUE(lm.Conflicts(5, LockMode::kExclusive, {7}).empty());
-  lm.Acquire(5, LockMode::kExclusive, {7});
+  LockManager lm(kNumItems);
+  lm.Acquire(3, LockMode::kExclusive, Items({7}));
+  lm.Release(3, Items({7}));
+  EXPECT_TRUE(lm.Conflicts(5, LockMode::kExclusive, Items({7})).empty());
+  lm.Acquire(5, LockMode::kExclusive, Items({7}));
   EXPECT_EQ(lm.ExclusiveHolder(7), 5u);
 }
 
+// Transactions the audit resolves grants against, as the server's pools do.
+struct AuditBook {
+  TxnPool pool;
+  std::map<TxnId, const Transaction*> by_id;
+
+  Query* NewQuery(std::vector<ItemId> items) {
+    Query* query = pool.NewQuery(0);
+    query->items = std::move(items);
+    by_id[query->id] = query;
+    return query;
+  }
+  Update* NewUpdate(ItemId item) {
+    Update* update = pool.NewUpdate(0, Millis(2), item);
+    by_id[update->id] = update;
+    return update;
+  }
+  LockManager::TxnLookup Lookup() const {
+    return [this](TxnId id) -> const Transaction* {
+      const auto it = by_id.find(id);
+      return it == by_id.end() ? nullptr : it->second;
+    };
+  }
+};
+
 TEST(LockManagerTest, AuditConsistencyPassesOnHealthyTable) {
-  LockManager lm;
-  lm.AuditConsistency();  // empty table is consistent
-  lm.Acquire(2, LockMode::kShared, {1, 2});
-  lm.Acquire(4, LockMode::kShared, {2, 3});
-  lm.Acquire(5, LockMode::kExclusive, {7});
-  lm.AuditConsistency();
-  lm.ReleaseAll(4);
-  lm.AuditConsistency();
-  lm.ReleaseAll(2);
-  lm.ReleaseAll(5);
-  lm.AuditConsistency();
+  AuditBook book;
+  LockManager lm(kNumItems);
+  lm.AuditConsistency(book.Lookup());  // empty table is consistent
+  Query* a = book.NewQuery({1, 2});
+  Query* b = book.NewQuery({2, 3});
+  Update* u = book.NewUpdate(7);
+  lm.Acquire(a->id, LockMode::kShared, LockSet(*a));
+  lm.Acquire(b->id, LockMode::kShared, LockSet(*b));
+  lm.Acquire(u->id, LockMode::kExclusive, LockSet(*u));
+  u->state = TxnState::kRunning;
+  lm.AuditConsistency(book.Lookup());
+  lm.Release(b->id, LockSet(*b));
+  lm.AuditConsistency(book.Lookup());
+  lm.Release(a->id, LockSet(*a));
+  lm.Release(u->id, LockSet(*u));
+  lm.AuditConsistency(book.Lookup());
   EXPECT_EQ(lm.NumLockedItems(), 0u);
+}
+
+TEST(LockManagerDeathTest, AuditCatchesALeakedGrant) {
+  // A transaction that finished without releasing: its grant is a leak.
+  AuditBook book;
+  LockManager lm(kNumItems);
+  Query* query = book.NewQuery({1, 4});
+  lm.Acquire(query->id, LockMode::kShared, LockSet(*query));
+  lm.AuditConsistency(book.Lookup());
+  query->state = TxnState::kCommitted;
+  EXPECT_DEATH(lm.AuditConsistency(book.Lookup()),
+               "lock-table-consistent.*leaked");
+}
+
+TEST(LockManagerDeathTest, AuditCatchesAGrantOutsideTheLockSet) {
+  AuditBook book;
+  LockManager lm(kNumItems);
+  Query* query = book.NewQuery({1});
+  lm.Acquire(query->id, LockMode::kShared, Items({1, 5}));
+  EXPECT_DEATH(lm.AuditConsistency(book.Lookup()),
+               "lock-table-consistent.*outside its lock set");
+  // Right item, wrong mode: an update's lock is exclusive.
+  LockManager lm2(kNumItems);
+  Update* update = book.NewUpdate(3);
+  lm2.Acquire(update->id, LockMode::kShared, LockSet(*update));
+  EXPECT_DEATH(lm2.AuditConsistency(book.Lookup()),
+               "lock-table-consistent.*outside its lock set");
 }
 
 // Section 2.1 write-write handling when two updates on the same item carry
@@ -174,9 +285,9 @@ TEST(LockManagerServerTest, RestartThenReacquireUnderPriorityInversion) {
 // release builds, active in Debug and -DWEBDB_AUDIT=ON builds.
 #if WEBDB_DCHECK_ENABLED
 TEST(LockManagerDeathTest, AcquireWithConflictAborts) {
-  LockManager lm;
-  lm.Acquire(3, LockMode::kExclusive, {1});
-  EXPECT_DEATH(lm.Acquire(5, LockMode::kExclusive, {1}), "conflict");
+  LockManager lm(kNumItems);
+  lm.Acquire(3, LockMode::kExclusive, Items({1}));
+  EXPECT_DEATH(lm.Acquire(5, LockMode::kExclusive, Items({1})), "conflict");
 }
 #endif
 

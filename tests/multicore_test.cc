@@ -80,10 +80,10 @@ TEST_F(MulticoreTest, AdapterKeepsPinnedHashes) {
   // Same pins as tests/regression_test.cc, reached through the new API.
   SchedulerSpec fifo;
   fifo.kind = SchedulerKind::kFifo;
-  EXPECT_EQ(RunSpec(fifo).end_state_hash, 0x810cf025907877e9ULL);
+  EXPECT_EQ(RunSpec(fifo).end_state_hash, 0x1f17fc51c80bfd70ULL);
   SchedulerSpec quts;
   quts.kind = SchedulerKind::kQuts;
-  EXPECT_EQ(RunSpec(quts).end_state_hash, 0xe2f69fbc29174920ULL);
+  EXPECT_EQ(RunSpec(quts).end_state_hash, 0x815b75c154044dafULL);
 }
 
 TEST_F(MulticoreTest, ShardedRunIsBitIdenticalAcrossReruns) {

@@ -98,13 +98,16 @@ TEST_F(RegressionTest, EndStateHashPinned) {
   // commit message; the failure message prints the new values.
   const ExperimentResult fifo = Run(SchedulerKind::kFifo);
   const ExperimentResult quts = Run(SchedulerKind::kQuts);
-  EXPECT_EQ(fifo.end_state_hash, 0x810cf025907877e9ULL)
+  // Both hashes re-pinned when commit started cancelling the query's
+  // lifetime-deadline event: the drain clock now ends at the last
+  // completion instead of the last (no-op) deadline; commit set identical.
+  EXPECT_EQ(fifo.end_state_hash, 0x1f17fc51c80bfd70ULL)
       << "fifo end-state hash changed: 0x" << std::hex << fifo.end_state_hash;
   // QUTS hash re-pinned when ShouldPreempt stopped flipping to the
   // opposite side on a boundary draw for the running side with an empty
   // waiting queue (the running transaction counts as its side's work), and
   // NextDecisionTime stopped answering `now` for an expired atom.
-  EXPECT_EQ(quts.end_state_hash, 0xe2f69fbc29174920ULL)
+  EXPECT_EQ(quts.end_state_hash, 0x815b75c154044dafULL)
       << "quts end-state hash changed: 0x" << std::hex << quts.end_state_hash;
   // Same run twice -> same hash, and different policies must not collide.
   EXPECT_EQ(Run(SchedulerKind::kFifo).end_state_hash, fifo.end_state_hash);

@@ -1,10 +1,15 @@
 // Edge-case server tests: lock release on drop of a preempted holder,
 // multi-holder conflict resolution, FIFO-rank inheritance, alternative
-// staleness metrics end-to-end, and dispatch-overhead accounting.
+// staleness metrics end-to-end, dispatch-overhead accounting, and the
+// lifetime-deadline event of every way a query can finish.
+
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "sched/admission.h"
 #include "sched/dual_queue_scheduler.h"
 #include "sched/fifo_scheduler.h"
 #include "server/web_database_server.h"
@@ -170,6 +175,139 @@ TEST(ServerEdgeTest, BackToBackSubmissionsAtSameInstant) {
             3);
   EXPECT_DOUBLE_EQ(db.Item(0).value, 2.0);
   EXPECT_TRUE(server.IsQuiescent());
+}
+
+// --- lifetime-deadline events ------------------------------------------------
+// Every admitted query schedules a drop at its lifetime deadline (30 s out
+// by default). Commit and shed cancel it, so a drained run ends at its last
+// completion instead of idling through the deadline tail.
+
+TEST(ServerLifetimeTest, AllCommitRunEndsAtItsLastCommit) {
+  Database db(4);
+  auto sched = MakeUpdateHigh();
+  WebDatabaseServer server(&db, sched.get());
+  for (int i = 0; i < 20; ++i) {
+    server.sim().ScheduleAt(Millis(2 * i), [&server, i] {
+      server.SubmitQuery(QueryType::kLookup, {i % 4}, StepQc(), Millis(3));
+      server.SubmitUpdate((i + 1) % 4, i, Millis(1));
+    });
+  }
+  server.Run();
+  ASSERT_EQ(server.metrics().queries_committed, 20);
+  SimTime last_completion = 0;
+  for (const Query& query : server.queries()) {
+    last_completion = std::max(last_completion, query.commit_time);
+    EXPECT_EQ(query.lifetime_event, 0u);
+  }
+  for (const Update& update : server.updates()) {
+    if (update.state == TxnState::kCommitted) {
+      last_completion = std::max(last_completion, update.commit_time);
+    }
+  }
+  EXPECT_EQ(server.Now(), last_completion);
+  EXPECT_LT(server.Now(), Seconds(1));
+  EXPECT_EQ(server.sim().NumPending(), 0u);
+  EXPECT_GE(server.sim().stats().cancelled, 20u);
+  EXPECT_TRUE(server.IsQuiescent());
+}
+
+TEST(ServerLifetimeTest, ShedQueryLifetimeEventIsCancelled) {
+  Database db(2);
+  FifoScheduler sched;
+  DbfAdmission::Options options;
+  options.num_cpus = 1;
+  DbfAdmission admission(std::move(options));
+  ServerConfig config;
+  config.admission = &admission;
+  WebDatabaseServer server(&db, &sched, config);
+  // An update holds the CPU, so every query below stays queued.
+  server.SubmitUpdate(1, 1.0, Millis(40));
+  // Three $2 queries fill the lane: 30 ms of demand by their 30 ms deadline.
+  const QualityContract cheap_qc = StepQc(2.0, 0.0, Millis(30));
+  std::vector<Query*> cheap;
+  for (int i = 0; i < 3; ++i) {
+    cheap.push_back(
+        server.SubmitQuery(QueryType::kLookup, {0}, cheap_qc, Millis(10)));
+  }
+  const EventId victim_event = cheap[0]->lifetime_event;
+  ASSERT_TRUE(server.sim().IsPending(victim_event));
+  // A $40 query sheds the cheapest (lowest id) one to fit.
+  Query* vip = server.SubmitQuery(QueryType::kLookup, {0},
+                                  StepQc(40.0, 0.0, Millis(30)), Millis(10));
+  ASSERT_EQ(cheap[0]->state, TxnState::kShed);
+  EXPECT_EQ(cheap[0]->lifetime_event, 0u);
+  EXPECT_FALSE(server.sim().IsPending(victim_event));
+  EXPECT_TRUE(server.sim().IsPending(cheap[1]->lifetime_event));
+  EXPECT_TRUE(server.sim().IsPending(vip->lifetime_event));
+  server.Run();
+  EXPECT_EQ(server.metrics().queries_shed, 1);
+  EXPECT_EQ(server.metrics().queries_committed, 3);
+  EXPECT_EQ(server.sim().NumPending(), 0u);
+  EXPECT_TRUE(server.IsQuiescent());
+  server.AuditInvariants();
+}
+
+TEST(ServerLifetimeTest, FusedMemberLifetimeEventIsCancelledAtSettle) {
+  Database db(2);
+  FifoScheduler sched;
+  ServerConfig config;
+  config.fusion.enabled = true;
+  WebDatabaseServer server(&db, &sched, config);
+  // An update holds the CPU for 5 ms so two look-alike lookups queue; the
+  // first leads at dispatch and the second rides on its scan.
+  server.SubmitUpdate(1, 1.0, Millis(5));
+  Query* leader =
+      server.SubmitQuery(QueryType::kLookup, {0}, StepQc(), Millis(10));
+  Query* member =
+      server.SubmitQuery(QueryType::kLookup, {0}, StepQc(), Millis(10));
+  const EventId member_event = member->lifetime_event;
+  server.RunUntil(Millis(6));
+  ASSERT_EQ(member->state, TxnState::kFused);
+  ASSERT_EQ(member->fused_into, leader->id);
+  EXPECT_TRUE(server.sim().IsPending(member_event));
+  server.Run();
+  EXPECT_EQ(member->state, TxnState::kCommitted);
+  EXPECT_EQ(member->commit_time, Millis(15));
+  EXPECT_EQ(member->lifetime_event, 0u);
+  EXPECT_FALSE(server.sim().IsPending(member_event));
+  // Neither 30 s deadline is left to fire: the run ends with the scan.
+  EXPECT_EQ(server.Now(), leader->commit_time);
+  EXPECT_EQ(server.sim().NumPending(), 0u);
+  EXPECT_EQ(server.metrics().queries_fused, 1);
+}
+
+TEST(ServerLifetimeTest, FusedMemberPastItsDeadlineDropsAtDissolution) {
+  Database db(2);
+  auto sched = MakeUpdateHigh();
+  ServerConfig config;
+  config.fusion.enabled = true;
+  config.lifetime_factor = 0.1;
+  config.min_lifetime = Millis(8);  // both queries' deadlines: 8 ms
+  WebDatabaseServer server(&db, sched.get(), config);
+  // CPU busy until 5 ms; then the leader's scan runs [5, 15ms) carrying
+  // the member.
+  server.SubmitUpdate(1, 1.0, Millis(5));
+  Query* leader =
+      server.SubmitQuery(QueryType::kLookup, {0}, StepQc(), Millis(10));
+  Query* member =
+      server.SubmitQuery(QueryType::kLookup, {0}, StepQc(), Millis(10));
+  // At 10 ms — after both deadlines fired as no-ops (running leader, fused
+  // member) — a write to the scanned item preempts the leader and restarts
+  // it under 2PL-HP, dissolving the group.
+  server.sim().ScheduleAt(Millis(10),
+                          [&] { server.SubmitUpdate(0, 2.0, Millis(2)); });
+  server.RunUntil(Millis(6));
+  ASSERT_EQ(member->state, TxnState::kFused);
+  server.Run();
+  EXPECT_EQ(member->state, TxnState::kDropped);
+  EXPECT_EQ(member->lifetime_event, 0u);
+  EXPECT_EQ(leader->state, TxnState::kCommitted);
+  EXPECT_EQ(leader->restarts, 1);
+  EXPECT_EQ(server.metrics().queries_dropped, 1);
+  EXPECT_EQ(server.metrics().queries_expired, 1);  // the leader, late
+  EXPECT_EQ(server.sim().NumPending(), 0u);
+  EXPECT_TRUE(server.IsQuiescent());
+  server.AuditInvariants();
 }
 
 }  // namespace

@@ -236,10 +236,16 @@ TEST(ServerTest, CpuUtilizationReflectsBusyTime) {
   Database db(1);
   FifoScheduler sched;
   WebDatabaseServer server(&db, &sched);
+  EXPECT_DOUBLE_EQ(server.CpuUtilization(), 0.0);  // nothing completed yet
+  // Busy [0, 4ms) and [6ms, 8ms): 6 ms of work over an 8 ms active period.
   server.SubmitUpdate(0, 1.0, Millis(4));
+  server.sim().ScheduleAt(Millis(6),
+                          [&] { server.SubmitUpdate(0, 2.0, Millis(2)); });
   server.Run();
-  server.sim().RunUntil(Millis(8));
-  EXPECT_NEAR(server.CpuUtilization(), 0.5, 1e-9);
+  EXPECT_NEAR(server.CpuUtilization(), 0.75, 1e-9);
+  // Idle clock after the last apply does not dilute it.
+  server.sim().RunUntil(Millis(20));
+  EXPECT_NEAR(server.CpuUtilization(), 0.75, 1e-9);
 }
 
 TEST(ServerTest, QutsEndToEndSmallMix) {
