@@ -137,12 +137,12 @@ void BM_EndToEndServerRun(benchmark::State& state) {
   config.update_rate_start = 280.0;
   config.update_rate_end = 200.0;
   const Trace trace = GenerateStockTrace(config);
+  SchedulerSpec spec;
+  spec.kind = kind;
   for (auto _ : state) {
-    auto scheduler = MakeScheduler(kind);
     ExperimentOptions options;
     options.qc = BalancedProfile(QcShape::kStep);
-    benchmark::DoNotOptimize(
-        RunExperiment(trace, scheduler.get(), options));
+    benchmark::DoNotOptimize(RunExperiment(trace, spec, options));
   }
   state.SetLabel(ToString(kind));
   state.SetItemsProcessed(

@@ -37,11 +37,11 @@ int main() {
   AsciiTable table({"policy", "QOS%", "QOD%", "total%", "avg rt (ms)",
                     "avg staleness", "dropped"});
   for (const SchedulerKind kind : PaperSchedulers()) {
-    auto scheduler = MakeScheduler(kind);
+    SchedulerSpec spec;
+    spec.kind = kind;
     ExperimentOptions options;
     options.qc = BalancedProfile(QcShape::kStep);
-    const ExperimentResult result =
-        RunExperiment(trace, scheduler.get(), options);
+    const ExperimentResult result = RunExperiment(trace, spec, options);
     table.AddRow({result.scheduler, AsciiTable::Num(result.qos_pct, 3),
                   AsciiTable::Num(result.qod_pct, 3),
                   AsciiTable::Num(result.total_pct, 3),

@@ -7,8 +7,8 @@
 
 #include <cstdio>
 
+#include "core/quts_scheduler.h"
 #include "exp/experiment.h"
-#include "exp/scheduler_factory.h"
 #include "trace/stock_trace_generator.h"
 #include "util/table.h"
 
@@ -31,11 +31,10 @@ int main() {
   AsciiTable table({"knob (QODmax%)", "final rho", "QOS%", "QOD%", "total%"});
   for (int i = 1; i <= 9; i += 2) {
     const double knob = static_cast<double>(i) / 10.0;
-    auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+    QutsScheduler scheduler{QutsScheduler::Options()};
     ExperimentOptions options;
     options.qc = Table4Profile(knob, QcShape::kStep);
-    const ExperimentResult result =
-        RunExperiment(trace, scheduler.get(), options);
+    const ExperimentResult result = RunExperiment(trace, &scheduler, options);
     const double final_rho =
         result.rho_series.empty() ? 0.0 : result.rho_series.back().second;
     table.AddRow({AsciiTable::Num(knob, 1), AsciiTable::Num(final_rho, 3),

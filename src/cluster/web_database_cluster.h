@@ -1,4 +1,4 @@
-// A replicated web-database: N single-CPU replicas on one simulation clock,
+// A replicated web-database: N replicas on one simulation clock,
 // each holding a full copy of the data and applying the full update stream
 // independently (the paper's model pushes all updates to all replicas as
 // the master changes). Queries are routed to exactly one replica by a
@@ -19,7 +19,7 @@
 #include "cluster/replica_selector.h"
 #include "db/database.h"
 #include "qc/quality_contract.h"
-#include "sched/scheduler.h"
+#include "sched/cpu_set_scheduler.h"
 #include "server/server_config.h"
 #include "server/web_database_server.h"
 #include "sim/simulator.h"
@@ -40,7 +40,7 @@ class WebDatabaseCluster {
  public:
   // Builds one scheduler per replica. `scheduler_factory` must produce a
   // fresh scheduler on every call.
-  using SchedulerFactory = std::function<std::unique_ptr<Scheduler>()>;
+  using SchedulerFactory = std::function<std::unique_ptr<CpuSetScheduler>()>;
 
   WebDatabaseCluster(int32_t num_items, SchedulerFactory scheduler_factory,
                      ClusterConfig config);
@@ -83,7 +83,7 @@ class WebDatabaseCluster {
  private:
   struct Replica {
     std::unique_ptr<Database> db;
-    std::unique_ptr<Scheduler> scheduler;
+    std::unique_ptr<CpuSetScheduler> scheduler;
     std::unique_ptr<WebDatabaseServer> server;
     SimDuration delay = 0;
     int64_t routed = 0;

@@ -239,55 +239,4 @@ QutsAction ClassifyWake(SimTime wake, SimTime now, SimDuration atom_time) {
   return QutsAction::kWakeAtAtomExpiry;
 }
 
-// --- reference model -------------------------------------------------------
-
-void ModelQutsDriver::Arrange(const QutsProtoState& state) { state_ = state; }
-
-QutsAction ModelQutsDriver::Fire(QutsProtoEvent event) {
-  // A concrete miniature of the Table 2 machine: the atom started at 0 with
-  // length τ; the event fires either mid-atom or exactly at the boundary.
-  const SimDuration tau = Millis(10);
-  const SimTime expiry = tau;
-  const SimTime now = state_.atom == QutsAtom::kExpired ? expiry : tau / 2;
-  TxnKind side = state_.side;
-  switch (event) {
-    case QutsProtoEvent::kPopNext: {
-      if (now >= expiry) side = state_.draw;  // boundary redraw
-      if (!HasQueued(state_.queues, side)) {
-        if (!HasQueued(state_.queues, Other(side))) return QutsAction::kPopNone;
-        side = Other(side);  // immediate state change on an empty queue
-      }
-      return side == TxnKind::kQuery ? QutsAction::kPopQuery
-                                     : QutsAction::kPopUpdate;
-    }
-    case QutsProtoEvent::kShouldPreempt: {
-      if (now < expiry) return QutsAction::kKeepRunning;
-      const TxnKind drawn = state_.draw;
-      const TxnKind running = RunningKind(state_.running);
-      if (bug_ == QutsBug::kPreemptOntoEmptySide) {
-        // Defect 1 verbatim: the draw alone decides — an empty drawn queue
-        // still evicts the running transaction.
-        return drawn != running ? QutsAction::kPreempt
-                                : QutsAction::kKeepRunning;
-      }
-      if (drawn != running && HasQueued(state_.queues, drawn)) {
-        return QutsAction::kPreempt;
-      }
-      return QutsAction::kKeepRunning;
-    }
-    case QutsProtoEvent::kNextDecisionTime: {
-      if (state_.queues == QutsQueues::kBothEmpty) return QutsAction::kNoWake;
-      if (bug_ == QutsBug::kZeroDelayWakeup) {
-        // Defect 2 verbatim: hand back the raw expiry even when it is
-        // already due, i.e. a zero-delay wake-up.
-        return ClassifyWake(expiry, now, tau);
-      }
-      const SimTime wake = expiry <= now ? now + tau : expiry;
-      return ClassifyWake(wake, now, tau);
-    }
-  }
-  WEBDB_CHECK(false);
-  return QutsAction::kPopNone;
-}
-
 }  // namespace webdb

@@ -7,9 +7,8 @@
 // shifted profit curve thousands of events later. This header removes the
 // hand from that loop: it states, as a pure function, what Table 2 requires
 // for EVERY (scheduler state, event) pair, and tests/quts_protocol_test.cc
-// exhaustively enumerates the pairs against the real schedulers
-// (QutsScheduler and ShardedQutsScheduler) through a small driver
-// interface.
+// exhaustively enumerates the pairs against the real scheduler
+// (QutsScheduler at one and two CPUs) through a small driver interface.
 //
 // The abstract state collapses QUTS to the facts Table 2 branches on:
 //
@@ -29,9 +28,9 @@
 // enqueues in Table 2 — they never move the atom clock or the side — and
 // the checker verifies that as part of arranging each state.
 //
-// ModelQutsDriver is a ~traceable reference implementation of the table
-// with injectable historical bugs (QutsBug); the regression fixtures prove
-// the checker rejects exactly the two hand-fixed defects when reintroduced.
+// The test also carries a reference model of the table with injectable
+// historical bugs; its regression fixtures prove the checker rejects
+// exactly the two hand-fixed defects when reintroduced.
 
 #ifndef WEBDB_CORE_QUTS_PROTOCOL_H_
 #define WEBDB_CORE_QUTS_PROTOCOL_H_
@@ -148,38 +147,6 @@ std::vector<QutsProtoViolation> CheckQutsProtocol(QutsProtocolDriver& driver);
 // kWakeAfterFullAtom, anything else (a genuine future boundary) →
 // kWakeAtAtomExpiry.
 QutsAction ClassifyWake(SimTime wake, SimTime now, SimDuration atom_time);
-
-// --- reference model + historical-bug injection ----------------------------
-
-enum class QutsBug {
-  kNone,
-  // Pre-hotfix defect 1: the atom-boundary draw preempted the running
-  // transaction even when the drawn side's queue was empty, over-serving
-  // that side beyond its ρ share (fixed in ShouldPreempt).
-  kPreemptOntoEmptySide,
-  // Pre-hotfix defect 2: NextDecisionTime returned the stale atom expiry
-  // (<= now) instead of clamping a full atom ahead, scheduling zero-delay
-  // wake-ups that spin without progress (fixed in NextDecisionTime).
-  kZeroDelayWakeup,
-};
-
-// Minimal reference implementation of the Table 2 loop (two counters for
-// the queues, one side, one atom clock, a scripted draw) with injectable
-// historical bugs. With QutsBug::kNone it passes CheckQutsProtocol by
-// construction; with a bug injected the checker must reject it — that
-// round trip is what proves the checker would have caught the real
-// defects.
-class ModelQutsDriver final : public QutsProtocolDriver {
- public:
-  explicit ModelQutsDriver(QutsBug bug = QutsBug::kNone) : bug_(bug) {}
-
-  void Arrange(const QutsProtoState& state) override;
-  QutsAction Fire(QutsProtoEvent event) override;
-
- private:
-  QutsBug bug_;
-  QutsProtoState state_;
-};
 
 }  // namespace webdb
 

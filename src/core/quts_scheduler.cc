@@ -5,11 +5,21 @@
 #include "core/rho.h"
 #include "obs/metric_registry.h"
 #include "util/logging.h"
+#include "util/seed.h"
 
 namespace webdb {
 
-QutsScheduler::QutsScheduler(Options options)
-    : options_(options), rng_(options.seed), rho_(options.initial_rho) {
+namespace {
+
+TxnKind Other(TxnKind kind) {
+  return kind == TxnKind::kQuery ? TxnKind::kUpdate : TxnKind::kQuery;
+}
+
+}  // namespace
+
+QutsScheduler::QutsScheduler(Options options, int num_cpus)
+    : options_(options), steal_rng_(DeriveSeed(options.seed, 0xC0DE)) {
+  WEBDB_CHECK(num_cpus >= 1);
   WEBDB_CHECK(options_.atom_time > 0);
   WEBDB_CHECK(options_.adaptation_period > 0);
   WEBDB_CHECK(options_.alpha > 0.0 && options_.alpha <= 1.0);
@@ -18,66 +28,126 @@ QutsScheduler::QutsScheduler(Options options)
   if (options_.update_policy == UpdatePolicy::kDemandWeighted) {
     WEBDB_CHECK(options_.item_weights != nullptr);
   }
-  if (options_.record_rho_series) rho_series_.emplace_back(0, rho_);
+  shards_.reserve(num_cpus);
+  for (int s = 0; s < num_cpus; ++s) {
+    shards_.emplace_back(ShardSeed(options_.seed, s, num_cpus),
+                         options_.initial_rho);
+  }
+  // Item -> shard placement must not correlate with the per-shard ξ
+  // streams; salt it with a distinct derived constant.
+  uint64_t salt_state = DeriveSeed(options_.seed, 0x5A17);
+  shard_salt_ = SplitMix64Next(salt_state);
+  rho_series_.emplace_back(0, options_.initial_rho);
+}
+
+uint64_t QutsScheduler::ShardSeed(uint64_t base_seed, int shard,
+                                  int shard_count) {
+  // One CPU keeps the paper scheduler's ξ stream; with several, each
+  // shard's stream depends only on (base seed, shard index).
+  return shard_count == 1 ? base_seed : DeriveSeed(base_seed, shard);
+}
+
+int QutsScheduler::ShardOfItem(ItemId item) const {
+  if (shards_.size() == 1) return 0;
+  uint64_t state = shard_salt_ ^ (static_cast<uint64_t>(item) + 1);
+  return static_cast<int>(SplitMix64Next(state) % shards_.size());
+}
+
+int QutsScheduler::ShardOf(const Transaction& txn) const {
+  if (txn.kind == TxnKind::kUpdate) {
+    return ShardOfItem(static_cast<const Update&>(txn).item);
+  }
+  const auto& query = static_cast<const Query&>(txn);
+  WEBDB_CHECK(!query.items.empty());
+  return ShardOfItem(query.items[0]);
+}
+
+double QutsScheduler::rho() const {
+  double sum = 0.0;
+  for (const Shard& shard : shards_) sum += shard.rho;
+  return sum / static_cast<double>(shards_.size());
 }
 
 void QutsScheduler::MaybeAdapt(SimTime now) {
+  const SimDuration period = options_.adaptation_period;
+  if (now < window_start_ + period) return;
   if (options_.freeze_rho) {
     // No adaptation; just keep the window anchor moving so the math stays
     // bounded on long runs.
-    if (now >= window_start_ + options_.adaptation_period) {
-      window_start_ +=
-          ((now - window_start_) / options_.adaptation_period) *
-          options_.adaptation_period;
-      window_qos_max_ = 0.0;
-      window_qod_max_ = 0.0;
+    window_start_ += ((now - window_start_) / period) * period;
+    for (Shard& shard : shards_) {
+      shard.window_qos_max = 0.0;
+      shard.window_qod_max = 0.0;
     }
     return;
   }
-  while (now >= window_start_ + options_.adaptation_period) {
-    // Eq. 5: ρ_new from the QCs submitted during the window that just
-    // closed. A window with no QoD demand pushes toward ρ = 1; a window
-    // with no submissions at all leaves ρ untouched (nothing to learn).
-    if (window_qod_max_ > 0.0) {
-      const double rho_new = OptimalRho(window_qos_max_, window_qod_max_);
-      rho_ = SmoothRho(rho_, rho_new, options_.alpha);  // Eq. 6
-    } else if (window_qos_max_ > 0.0) {
-      rho_ = SmoothRho(rho_, 1.0, options_.alpha);
+  while (now >= window_start_ + period) {
+    // Eq. 5 on the window that just closed, fleet-wide and per shard. A
+    // window with no QoD demand pushes toward ρ = 1; a window with no
+    // submissions at all leaves ρ untouched (nothing to learn).
+    double total_qos = 0.0;
+    double total_qod = 0.0;
+    for (const Shard& shard : shards_) {
+      total_qos += shard.window_qos_max;
+      total_qod += shard.window_qod_max;
     }
-    window_qos_max_ = 0.0;
-    window_qod_max_ = 0.0;
-    window_start_ += options_.adaptation_period;
+    const double total_mass = total_qos + total_qod;
+    if (total_mass > 0.0) {
+      const double global_opt =
+          total_qod > 0.0 ? OptimalRho(total_qos, total_qod) : 1.0;
+      for (Shard& shard : shards_) {
+        const double mass = shard.window_qos_max + shard.window_qod_max;
+        double local_opt = global_opt;
+        if (shard.window_qod_max > 0.0) {
+          local_opt = OptimalRho(shard.window_qos_max, shard.window_qod_max);
+        } else if (shard.window_qos_max > 0.0) {
+          local_opt = 1.0;
+        }
+        // Trust the local estimate in proportion to the shard's share of
+        // the window's profit mass relative to a fair split: a shard
+        // carrying at least 1/S of the demand uses its own optimum, an
+        // idle shard inherits the global one. One shard: weight 1 exactly.
+        const double weight = std::min(
+            1.0, mass * static_cast<double>(shards_.size()) / total_mass);
+        const double target =
+            weight * local_opt + (1.0 - weight) * global_opt;
+        shard.rho = SmoothRho(shard.rho, target, options_.alpha);  // Eq. 6
+      }
+    }
+    for (Shard& shard : shards_) {
+      shard.window_qos_max = 0.0;
+      shard.window_qod_max = 0.0;
+    }
+    window_start_ += period;
     ++adaptations_;
-    if (options_.record_rho_series) {
-      rho_series_.emplace_back(window_start_, rho_);
-    }
+    rho_series_.emplace_back(window_start_, rho());
   }
 }
 
-TxnKind QutsScheduler::DrawSide(SimTime now) {
+TxnKind QutsScheduler::DrawSide(Shard& shard, SimTime now) {
   TxnKind drawn;
   if (options_.slicing == QutsSlicing::kRandom) {
-    const double xi = rng_.NextDouble();
-    drawn = xi < rho_ ? TxnKind::kQuery : TxnKind::kUpdate;
+    const double xi = shard.rng.NextDouble();
+    drawn = xi < shard.rho ? TxnKind::kQuery : TxnKind::kUpdate;
   } else {
-    slice_credit_ += rho_;
-    if (slice_credit_ >= 1.0) {
-      slice_credit_ -= 1.0;
+    shard.slice_credit += shard.rho;
+    if (shard.slice_credit >= 1.0) {
+      shard.slice_credit -= 1.0;
       drawn = TxnKind::kQuery;
     } else {
       drawn = TxnKind::kUpdate;
     }
   }
-  atom_expiry_ = now + AtomLength(drawn);
-  ++redraws_;
+  shard.atom_expiry = now + AtomLength(shard, drawn);
+  ++shard.redraws;
   return drawn;
 }
 
-SimDuration QutsScheduler::AtomLength(TxnKind side) const {
+SimDuration QutsScheduler::AtomLength(const Shard& shard, TxnKind side) const {
   if (options_.scan_atom_factor == 1.0 || side != TxnKind::kQuery) {
     return options_.atom_time;
   }
-  const Transaction* head = queries_.Peek();
+  const Transaction* head = shard.queries.Peek();
   if (head == nullptr) return options_.atom_time;
   return AtomLengthFor(*head);
 }
@@ -93,93 +163,110 @@ SimDuration QutsScheduler::AtomLengthFor(const Transaction& txn) const {
                                   static_cast<double>(options_.atom_time)));
 }
 
-void QutsScheduler::Redraw(SimTime now) {
-  side_ = DrawSide(now);
+void QutsScheduler::Redraw(Shard& shard, SimTime now) {
+  shard.side = DrawSide(shard, now);
   // If the picked queue is empty the state changes immediately (Table 2:
   // "or the current running queue is empty"): fall over to the other side.
   // This is the idle-CPU path (PopNext), so the queues alone decide.
-  if (QueueFor(side_).Empty() && !QueueFor(side_ == TxnKind::kQuery
-                                               ? TxnKind::kUpdate
-                                               : TxnKind::kQuery)
-                                      .Empty()) {
-    side_ = side_ == TxnKind::kQuery ? TxnKind::kUpdate : TxnKind::kQuery;
+  if (shard.QueueFor(shard.side).Empty() &&
+      !shard.QueueFor(Other(shard.side)).Empty()) {
+    shard.side = Other(shard.side);
   }
 }
 
-void QutsScheduler::EnsureSide(SimTime now) {
-  MaybeAdapt(now);
-  if (now >= atom_expiry_) Redraw(now);
-}
-
-TxnQueue& QutsScheduler::QueueFor(TxnKind side) {
-  return side == TxnKind::kQuery ? queries_ : updates_;
-}
-
-const TxnQueue& QutsScheduler::QueueFor(TxnKind side) const {
-  return side == TxnKind::kQuery ? queries_ : updates_;
-}
-
-void QutsScheduler::OnQueryArrival(Query* query, SimTime now) {
-  MaybeAdapt(now);
-  window_qos_max_ += query->qc.qos_max();
-  window_qod_max_ += query->qc.qod_max();
-  queries_.Push(query, QueryPriority(*query, options_.query_policy));
-}
-
-void QutsScheduler::OnUpdateArrival(Update* update, SimTime now) {
-  MaybeAdapt(now);
-  updates_.Push(update, UpdatePriority(*update, options_.update_policy,
-                                       options_.item_weights));
-}
-
-void QutsScheduler::Requeue(Transaction* txn, SimTime now) {
-  MaybeAdapt(now);
-  if (txn->kind == TxnKind::kQuery) {
-    auto* query = static_cast<Query*>(txn);
-    queries_.Push(query, QueryPriority(*query, options_.query_policy));
-  } else {
-    auto* update = static_cast<Update*>(txn);
-    updates_.Push(update, UpdatePriority(*update, options_.update_policy,
-                                         options_.item_weights));
-  }
-}
-
-Transaction* QutsScheduler::PopNext(SimTime now) {
-  EnsureSide(now);
-  Transaction* txn = QueueFor(side_).Pop();
+Transaction* QutsScheduler::PopFromShard(Shard& shard, SimTime now) {
+  if (now >= shard.atom_expiry) Redraw(shard, now);
+  Transaction* txn = shard.QueueFor(shard.side).Pop();
   if (txn != nullptr) return txn;
   // The picked queue is empty: immediate state change to the other side.
-  const TxnKind other =
-      side_ == TxnKind::kQuery ? TxnKind::kUpdate : TxnKind::kQuery;
-  txn = QueueFor(other).Pop();
+  const TxnKind other = Other(shard.side);
+  txn = shard.QueueFor(other).Pop();
   if (txn != nullptr) {
-    side_ = other;
-    atom_expiry_ = now + AtomLengthFor(*txn);
+    shard.side = other;
+    shard.atom_expiry = now + AtomLengthFor(*txn);
   }
   return txn;
 }
 
-bool QutsScheduler::ShouldPreempt(const Transaction& running, SimTime now) {
+void QutsScheduler::OnQueryArrival(Query* query, SimTime now) {
+  MaybeAdapt(now);
+  Shard& shard = shards_[ShardOf(*query)];
+  shard.window_qos_max += query->qc.qos_max();
+  shard.window_qod_max += query->qc.qod_max();
+  shard.queries.Push(query, QueryPriority(*query, options_.query_policy));
+}
+
+void QutsScheduler::OnUpdateArrival(Update* update, SimTime now) {
+  MaybeAdapt(now);
+  shards_[ShardOf(*update)].updates.Push(
+      update,
+      UpdatePriority(*update, options_.update_policy, options_.item_weights));
+}
+
+void QutsScheduler::Requeue(Transaction* txn, SimTime now) {
+  MaybeAdapt(now);
+  Shard& shard = shards_[ShardOf(*txn)];
+  if (txn->kind == TxnKind::kQuery) {
+    auto* query = static_cast<Query*>(txn);
+    shard.queries.Push(query, QueryPriority(*query, options_.query_policy));
+  } else {
+    auto* update = static_cast<Update*>(txn);
+    shard.updates.Push(update, UpdatePriority(*update, options_.update_policy,
+                                              options_.item_weights));
+  }
+}
+
+Transaction* QutsScheduler::PopNext(CpuId cpu, SimTime now) {
+  WEBDB_DCHECK(cpu >= 0 && cpu < num_shards());
+  MaybeAdapt(now);
+  Transaction* txn = PopFromShard(shards_[cpu], now);
+  if (txn != nullptr || shards_.size() == 1) return txn;
+  return Steal(cpu, now);
+}
+
+Transaction* QutsScheduler::Steal(CpuId thief, SimTime now) {
+  // The scan start comes from a dedicated stream so victims rotate instead
+  // of shard (home+1) absorbing every thief; the scan itself is
+  // ascending-with-wraparound, so a (seed, event sequence) pair fully
+  // determines the victim.
+  const uint64_t count = shards_.size();
+  const uint64_t start = steal_rng_.NextU64() % count;
+  for (uint64_t i = 0; i < count; ++i) {
+    const auto victim = static_cast<CpuId>((start + i) % count);
+    if (victim == thief || shards_[victim].Empty()) continue;
+    Transaction* txn = PopFromShard(shards_[victim], now);
+    if (txn != nullptr) {
+      ++steals_;
+      return txn;
+    }
+  }
+  return nullptr;
+}
+
+bool QutsScheduler::ShouldPreempt(CpuId cpu, const Transaction& running,
+                                  SimTime now) {
+  WEBDB_DCHECK(cpu >= 0 && cpu < num_shards());
   // Mid-atom the queue priority is fixed: no preemption before the atom
   // expires (that bound on switching frequency is the whole point of τ).
   MaybeAdapt(now);
-  if (now < atom_expiry_) return false;
-  // Atom boundary with `running` on the CPU: draw the next atom's side
-  // (Table 2 — one draw per atom, consumed here). The running transaction
-  // counts as work on its side, so a draw for the running side, or for a
-  // side with an empty queue, keeps the CPU where it is: Table 2's
-  // immediate state change on an empty queue falls back to the only
-  // non-empty "queue" — the one whose transaction is running.
-  const TxnKind drawn = DrawSide(now);
-  if (drawn == running.kind || QueueFor(drawn).Empty()) {
-    side_ = running.kind;
+  Shard& shard = shards_[cpu];
+  if (now < shard.atom_expiry) return false;
+  // Atom boundary on this CPU's home shard: draw the next atom's side
+  // (Table 2 — one draw per atom, consumed here). The running transaction,
+  // stolen or not, counts as work on its side, so a draw for the running
+  // side, or for a side with an empty queue, keeps the CPU where it is:
+  // Table 2's immediate state change on an empty queue falls back to the
+  // only non-empty "queue" — the one whose transaction is running.
+  const TxnKind drawn = DrawSide(shard, now);
+  if (drawn == running.kind || shard.QueueFor(drawn).Empty()) {
+    shard.side = running.kind;
     return false;
   }
-  side_ = drawn;
+  shard.side = drawn;
   return true;
 }
 
-SimTime QutsScheduler::NextDecisionTime(SimTime now) {
+SimTime QutsScheduler::NextDecisionTime(CpuId cpu, SimTime now) {
   // A wake-up is only useful if some transaction is waiting to take over at
   // the atom boundary.
   if (!HasWork()) return kSimTimeMax;
@@ -189,29 +276,85 @@ SimTime QutsScheduler::NextDecisionTime(SimTime now) {
   // step without making progress. Clamp to a full atom from now — the
   // redraw that any intervening scheduling event performs moves the expiry
   // to the same point.
-  if (atom_expiry_ <= now) return now + options_.atom_time;
-  return atom_expiry_;
+  const SimTime expiry = shards_[cpu].atom_expiry;
+  if (expiry <= now) return now + options_.atom_time;
+  return expiry;
 }
 
 bool QutsScheduler::HasWork() const {
-  return !queries_.Empty() || !updates_.Empty();
+  for (const Shard& shard : shards_) {
+    if (!shard.Empty()) return true;
+  }
+  return false;
+}
+
+int64_t QutsScheduler::NumQueuedQueries() const {
+  int64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += static_cast<int64_t>(shard.queries.Size());
+  }
+  return total;
+}
+
+int64_t QutsScheduler::NumQueuedUpdates() const {
+  int64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += static_cast<int64_t>(shard.updates.Size());
+  }
+  return total;
 }
 
 void QutsScheduler::RemoveQueued(Transaction* txn, SimTime) {
-  QueueFor(txn->kind).Remove(txn);
+  shards_[ShardOf(*txn)].QueueFor(txn->kind).Remove(txn);
+}
+
+int QutsScheduler::FusionDomain(const Query& query) const {
+  WEBDB_CHECK(!query.items.empty());
+  const int home = ShardOfItem(query.items[0]);
+  for (size_t i = 1; i < query.items.size(); ++i) {
+    if (ShardOfItem(query.items[i]) != home) return -1;
+  }
+  return home;
+}
+
+int QutsScheduler::RendezvousDomain(const Query& query) {
+  WEBDB_CHECK(!query.items.empty());
+  std::vector<int> shard_set;
+  shard_set.reserve(query.items.size());
+  for (ItemId item : query.items) shard_set.push_back(ShardOfItem(item));
+  std::sort(shard_set.begin(), shard_set.end());
+  shard_set.erase(std::unique(shard_set.begin(), shard_set.end()),
+                  shard_set.end());
+  // Single-shard queries keep their per-shard fusion domain: identical to
+  // FusionDomain's answer, so rendezvous never re-homes them.
+  if (shard_set.size() == 1) return shard_set[0];
+  const auto it = rendezvous_domains_.find(shard_set);
+  if (it != rendezvous_domains_.end()) return it->second;
+  // Intern in first-sight order, offset past the per-shard domain range so
+  // the two id spaces never collide.
+  const int domain =
+      num_shards() + static_cast<int>(rendezvous_domains_.size());
+  rendezvous_domains_.emplace(std::move(shard_set), domain);
+  return domain;
 }
 
 void QutsScheduler::ExportStats(MetricRegistry& registry) const {
-  Scheduler::ExportStats(registry);
-  registry.GetGauge("scheduler.quts.rho").Set(rho_);
+  CpuSetScheduler::ExportStats(registry);
+  int64_t redraws = 0;
+  for (const Shard& shard : shards_) redraws += shard.redraws;
+  registry.GetGauge("scheduler.quts.rho").Set(rho());
   registry.GetGauge("scheduler.quts.adaptations")
       .Set(static_cast<double>(adaptations_));
   registry.GetGauge("scheduler.quts.atom.redraws")
-      .Set(static_cast<double>(redraws_));
-  registry.GetGauge("scheduler.quts.queue.queries")
-      .Set(static_cast<double>(queries_.Size()));
-  registry.GetGauge("scheduler.quts.queue.updates")
-      .Set(static_cast<double>(updates_.Size()));
+      .Set(static_cast<double>(redraws));
+  registry.GetGauge("scheduler.quts.steals")
+      .Set(static_cast<double>(steals_));
+  registry.GetGauge("scheduler.quts.shards")
+      .Set(static_cast<double>(shards_.size()));
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    registry.GetGauge("scheduler.quts.shard" + std::to_string(s) + ".rho")
+        .Set(shards_[s].rho);
+  }
 }
 
 }  // namespace webdb

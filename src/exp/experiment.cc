@@ -6,7 +6,6 @@
 
 #include "audit/invariant_auditor.h"
 #include "core/quts_scheduler.h"
-#include "core/sharded_quts_scheduler.h"
 #include "db/database.h"
 #include "exp/trace_feeder.h"
 #include "qc/profit_ledger.h"
@@ -123,14 +122,8 @@ ExperimentResult RunExperiment(const Trace& trace, CpuSetScheduler* scheduler,
   result.qos_max_per_s = BucketSums(ledger.qos_max_series());
   result.qod_max_per_s = BucketSums(ledger.qod_max_series());
 
-  // ρ series lives either on a single-CPU QUTS behind the adapter or on the
-  // sharded scheduler directly.
-  if (auto* adapter = dynamic_cast<SingleCpuAdapter*>(scheduler)) {
-    if (auto* quts = dynamic_cast<QutsScheduler*>(adapter->inner())) {
-      result.rho_series = quts->rho_series();
-    }
-  } else if (auto* sharded = dynamic_cast<ShardedQutsScheduler*>(scheduler)) {
-    result.rho_series = sharded->rho_series();
+  if (const auto* quts = dynamic_cast<const QutsScheduler*>(scheduler)) {
+    result.rho_series = quts->rho_series();
   }
 
   if (options.compute_end_state_hash) {
@@ -142,13 +135,6 @@ ExperimentResult RunExperiment(const Trace& trace, CpuSetScheduler* scheduler,
   result.registry = server.metric_registry().Snap(server.Now());
   result.registry_series = server.metric_registry().series();
   return result;
-}
-
-ExperimentResult RunExperiment(const Trace& trace, Scheduler* scheduler,
-                               const ExperimentOptions& options) {
-  WEBDB_CHECK(scheduler != nullptr);
-  SingleCpuAdapter adapter(scheduler);
-  return RunExperiment(trace, &adapter, options);
 }
 
 ExperimentResult RunExperiment(const Trace& trace, const SchedulerSpec& spec,

@@ -15,7 +15,6 @@
 #include "obs/metric_registry.h"
 #include "qc/qc_generator.h"
 #include "sched/cpu_set_scheduler.h"
-#include "sched/scheduler.h"
 #include "server/server_config.h"
 #include "trace/trace.h"
 
@@ -114,7 +113,8 @@ struct ExperimentResult {
   std::vector<double> qod_gained_per_s;
   std::vector<double> qos_max_per_s;
   std::vector<double> qod_max_per_s;
-  // (time, ρ) per adaptation period — only populated when the scheduler is
+  // (time, ρ) at the start and at every adaptation boundary, ρ being the
+  // plain mean across QUTS's shards — only populated when the scheduler is
   // QUTS (Figure 9d).
   std::vector<std::pair<SimTime, double>> rho_series;
 
@@ -134,12 +134,7 @@ struct ExperimentResult {
 
 // Runs `trace` through `scheduler` (not owned; used for a single run — make
 // a fresh one per experiment). The simulation runs until it fully drains.
-// The CpuSetScheduler overload is the primary entry point; the Scheduler
-// overload lifts the legacy policy through a SingleCpuAdapter and is
-// bit-identical to the pre-CPU-set runner.
 ExperimentResult RunExperiment(const Trace& trace, CpuSetScheduler* scheduler,
-                               const ExperimentOptions& options);
-ExperimentResult RunExperiment(const Trace& trace, Scheduler* scheduler,
                                const ExperimentOptions& options);
 // Convenience: builds the scheduler the spec describes (factory-owned for
 // the duration of the run) and runs the trace through it.

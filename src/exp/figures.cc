@@ -209,13 +209,13 @@ AdaptabilityResult RunFigure9(const Trace& trace, int intervals, double ratio,
   const TimeVaryingQcGenerator schedule =
       TimeVaryingQcGenerator::AlternatingPreference(duration, intervals,
                                                     ratio, shape);
-  std::unique_ptr<Scheduler> scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   ExperimentOptions options;
   options.server = QcServerConfig();
   options.qc_seed = qc_seed;
   options.qc = QcSchedule{&schedule};
   AdaptabilityResult out;
-  out.raw = RunExperiment(trace, scheduler.get(), options);
+  out.raw = RunExperiment(trace, &scheduler, options);
 
   // Late commits can extend the gained series past the max series; pad all
   // four to a common length so the plots line up second by second.

@@ -47,9 +47,12 @@ std::vector<std::string> ValidSchedulerNames() {
   return names;
 }
 
-std::unique_ptr<Scheduler> MakeScheduler(
-    SchedulerKind kind, const QutsScheduler::Options& quts_options) {
-  switch (kind) {
+std::unique_ptr<CpuSetScheduler> MakeScheduler(const SchedulerSpec& spec) {
+  const int num_cpus = spec.topology.num_cpus;
+  WEBDB_CHECK(num_cpus >= 1);
+  WEBDB_CHECK_MSG(num_cpus == 1 || spec.kind == SchedulerKind::kQuts,
+                  "only QUTS schedules multi-core");
+  switch (spec.kind) {
     case SchedulerKind::kFifo:
       return std::make_unique<FifoScheduler>();
     case SchedulerKind::kUpdateHigh:
@@ -61,26 +64,10 @@ std::unique_ptr<Scheduler> MakeScheduler(
     case SchedulerKind::kFifoQueryHigh:
       return MakeFifoQueryHigh();
     case SchedulerKind::kQuts:
-      return std::make_unique<QutsScheduler>(quts_options);
+      return std::make_unique<QutsScheduler>(spec.quts, num_cpus);
   }
   WEBDB_CHECK_MSG(false, "unknown scheduler kind");
   return nullptr;
-}
-
-std::unique_ptr<CpuSetScheduler> MakeScheduler(const SchedulerSpec& spec) {
-  WEBDB_CHECK(spec.topology.num_cpus >= 1);
-  if (spec.topology.num_cpus == 1) {
-    return std::make_unique<SingleCpuAdapter>(
-        MakeScheduler(spec.kind, spec.quts));
-  }
-  WEBDB_CHECK_MSG(spec.kind == SchedulerKind::kQuts,
-                  "only QUTS schedules multi-core (sharded QUTS)");
-  ShardedQutsScheduler::Options options;
-  options.quts = spec.quts;
-  options.num_cpus = spec.topology.num_cpus;
-  options.num_shards = spec.topology.num_shards;
-  options.enable_stealing = spec.topology.enable_stealing;
-  return std::make_unique<ShardedQutsScheduler>(options);
 }
 
 std::string ToString(AdmissionKind kind) {

@@ -10,10 +10,8 @@
 #include <vector>
 
 #include "core/quts_scheduler.h"
-#include "core/sharded_quts_scheduler.h"
 #include "sched/admission.h"
 #include "sched/cpu_set_scheduler.h"
-#include "sched/scheduler.h"
 #include "util/time.h"
 
 namespace webdb {
@@ -37,19 +35,10 @@ std::optional<SchedulerKind> SchedulerKindFromName(const std::string& name);
 // Every parseable name, in a stable order — for usage errors and sweeps.
 std::vector<std::string> ValidSchedulerNames();
 
-// Constructs a scheduler. `quts_options` only applies to kQuts.
-std::unique_ptr<Scheduler> MakeScheduler(
-    SchedulerKind kind,
-    const QutsScheduler::Options& quts_options = QutsScheduler::Options());
-
-// CPU/shard topology of a scheduler. The default (one CPU) reproduces the
-// paper's single-CPU server exactly.
+// CPU topology of a scheduler. The default (one CPU) is the paper's
+// single-CPU server.
 struct SchedulerTopology {
   int num_cpus = 1;
-  // Symbol-space shards for sharded QUTS; 0 means one shard per CPU.
-  int num_shards = 0;
-  // Pull-based work stealing between shards (sharded QUTS only).
-  bool enable_stealing = true;
 };
 
 // Admission-control policy, declaratively (mirrors SchedulerKind).
@@ -87,7 +76,7 @@ struct AdmissionSpec {
 // gets in".
 struct SchedulerSpec {
   SchedulerKind kind = SchedulerKind::kQuts;
-  // Applies to kQuts (single-CPU and sharded alike).
+  // Applies to kQuts, at any CPU count.
   QutsScheduler::Options quts;
   SchedulerTopology topology;
   AdmissionSpec admission;
@@ -99,10 +88,9 @@ struct SchedulerSpec {
 std::unique_ptr<AdmissionController> MakeAdmission(const AdmissionSpec& spec,
                                                    int num_cpus);
 
-// Constructs the scheduler a spec describes, ready for WebDatabaseServer:
-// num_cpus == 1 yields the legacy policy behind an owning SingleCpuAdapter
-// (bit-identical to the pre-CPU-set stack); num_cpus > 1 requires kQuts and
-// yields a ShardedQutsScheduler on the spec's topology.
+// Constructs the scheduler a spec describes, ready for WebDatabaseServer.
+// kQuts runs one shard per CPU; every other kind is a single-CPU baseline,
+// so num_cpus > 1 requires kQuts.
 std::unique_ptr<CpuSetScheduler> MakeScheduler(const SchedulerSpec& spec);
 
 // The four policies compared throughout Section 5.1.

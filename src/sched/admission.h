@@ -197,7 +197,7 @@ class DbfAdmission final : public AdmissionController {
  public:
   struct Options {
     // Demand lanes; must match the server topology's num_cpus (which is
-    // also the default shard count of ShardedQutsScheduler).
+    // also QUTS's shard count).
     int32_t num_cpus = 1;
     // Fraction of each lane's wall-clock supply handed out to queries;
     // < 1 reserves headroom for updates and scheduling overhead.

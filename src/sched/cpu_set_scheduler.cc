@@ -1,7 +1,6 @@
 #include "sched/cpu_set_scheduler.h"
 
 #include "obs/metric_registry.h"
-#include "util/logging.h"
 
 namespace webdb {
 
@@ -10,34 +9,6 @@ void CpuSetScheduler::ExportStats(MetricRegistry& registry) const {
       .Set(static_cast<double>(NumQueuedQueries()));
   registry.GetGauge("scheduler.queue.updates")
       .Set(static_cast<double>(NumQueuedUpdates()));
-}
-
-SingleCpuAdapter::SingleCpuAdapter(Scheduler* inner) : inner_(inner) {
-  WEBDB_CHECK(inner != nullptr);
-}
-
-SingleCpuAdapter::SingleCpuAdapter(std::unique_ptr<Scheduler> inner)
-    : owned_(std::move(inner)), inner_(owned_.get()) {
-  WEBDB_CHECK(inner_ != nullptr);
-}
-
-Transaction* SingleCpuAdapter::PopNext(CpuId cpu, SimTime now) {
-  WEBDB_DCHECK(cpu == 0);
-  (void)cpu;
-  return inner_->PopNext(now);
-}
-
-bool SingleCpuAdapter::ShouldPreempt(CpuId cpu, const Transaction& running,
-                                     SimTime now) {
-  WEBDB_DCHECK(cpu == 0);
-  (void)cpu;
-  return inner_->ShouldPreempt(running, now);
-}
-
-SimTime SingleCpuAdapter::NextDecisionTime(CpuId cpu, SimTime now) {
-  WEBDB_DCHECK(cpu == 0);
-  (void)cpu;
-  return inner_->NextDecisionTime(now);
 }
 
 }  // namespace webdb

@@ -1,11 +1,11 @@
-// CPU-set scheduling protocol: the multi-core generalization of the
-// single-CPU Scheduler interface (sched/scheduler.h).
+// Scheduler interface between the web-database server and the scheduling
+// policies (baselines in src/sched, QUTS in src/core).
 //
 // The server owns a set of CPUs (sim/processor_pool.h) on one simulator
-// clock; the scheduler owns the waiting queues and decides, per CPU, what
-// runs next and when a running transaction yields. The protocol mirrors the
-// single-CPU one, with every dispatch-side entry point taking the CpuId it
-// is asked about:
+// clock, the transaction lifecycle and the locks; the scheduler owns the
+// waiting queues and decides, per CPU, what runs next and when a running
+// transaction yields. Every dispatch-side entry point takes the CpuId it is
+// asked about:
 //
 //   arrival            -> OnQueryArrival / OnUpdateArrival   (CPU-agnostic:
 //                         the scheduler routes work to its internal queues
@@ -16,25 +16,18 @@
 //   commit/drop/inval  -> OnTxnFinished
 //   NextDecisionTime(c)-> per-CPU wake-up for time-sliced policies
 //
+// The paper's baselines (FIFO, UH/QH) schedule one CPU (num_cpus() == 1);
+// QUTS schedules any number, one shard per CPU.
+//
 // Determinism contract: the server iterates CPUs in fixed ascending order,
 // so any scheduler whose own decisions are seeded-deterministic yields
 // bit-identical schedules across runs.
-//
-// Single-CPU policies do not implement this interface; they stay on the
-// plain Scheduler interface and are lifted onto it by SingleCpuAdapter
-// below, which pins num_cpus() == 1 and forwards verbatim. The adapter is
-// deliberately transparent: a server driving an adapted scheduler performs
-// exactly the call sequence of the legacy single-CPU server, so pinned
-// goldens and end-state hashes are preserved bit-for-bit.
 
 #ifndef WEBDB_SCHED_CPU_SET_SCHEDULER_H_
 #define WEBDB_SCHED_CPU_SET_SCHEDULER_H_
 
-#include <memory>
 #include <string>
-#include <utility>
 
-#include "sched/scheduler.h"
 #include "txn/transaction.h"
 #include "util/time.h"
 
@@ -85,9 +78,9 @@ class CpuSetScheduler {
 
   // Shared-execution domain of `query`: two queries may only fuse when
   // their domains are equal and non-negative. Negative means "never fuse".
-  // The default (one global domain) suits single-queue schedulers; the
-  // sharded scheduler returns the shard when the whole item set lives on
-  // one shard and -1 otherwise, so cross-shard queries never fuse.
+  // The default (one global domain) suits single-queue schedulers; QUTS
+  // returns the home shard when the whole item set lives on one shard and
+  // -1 otherwise, so cross-shard queries never fuse.
   virtual int FusionDomain(const Query& /*query*/) const { return 0; }
 
   // Rendezvous domain for queries FusionDomain rejects (returns -1 for):
@@ -110,67 +103,11 @@ class CpuSetScheduler {
   virtual void RemoveQueued(Transaction* txn, SimTime now) = 0;
 
   // Publishes scheduler state into `registry` under `scheduler.*` names.
-  // Idempotent (gauges, last-write-wins). The default exports the generic
-  // queue depths.
+  // Idempotent (gauges, last-write-wins): the server calls it at every
+  // periodic snapshot and the experiment harness once at the end of a run.
+  // The default exports the generic queue depths; policies with internal
+  // state (QUTS) extend it.
   virtual void ExportStats(MetricRegistry& registry) const;
-};
-
-// Lifts a single-CPU Scheduler onto the CPU-set protocol with num_cpus()
-// pinned to 1. Every call forwards verbatim (the CpuId, asserted 0, is
-// dropped), so legacy policies — FIFO, UH/QH, dual-queue, QUTS — run
-// unchanged behind the new server loop and reproduce their pinned goldens
-// bit-identically.
-//
-// The adapter optionally owns the wrapped scheduler: the factory hands out
-// self-contained adapters, while tests that want to inspect the inner
-// policy after a run can keep ownership outside.
-class SingleCpuAdapter final : public CpuSetScheduler {
- public:
-  // Non-owning: `inner` must outlive the adapter.
-  explicit SingleCpuAdapter(Scheduler* inner);
-  // Owning.
-  explicit SingleCpuAdapter(std::unique_ptr<Scheduler> inner);
-
-  std::string Name() const override { return inner_->Name(); }
-  int num_cpus() const override { return 1; }
-
-  void OnQueryArrival(Query* query, SimTime now) override {
-    inner_->OnQueryArrival(query, now);
-  }
-  void OnUpdateArrival(Update* update, SimTime now) override {
-    inner_->OnUpdateArrival(update, now);
-  }
-  void Requeue(Transaction* txn, SimTime now) override {
-    inner_->Requeue(txn, now);
-  }
-  Transaction* PopNext(CpuId cpu, SimTime now) override;
-  bool ShouldPreempt(CpuId cpu, const Transaction& running,
-                     SimTime now) override;
-  SimTime NextDecisionTime(CpuId cpu, SimTime now) override;
-  void OnTxnFinished(const Transaction& txn, SimTime now) override {
-    inner_->OnTxnFinished(txn, now);
-  }
-  bool HasWork() const override { return inner_->HasWork(); }
-  int64_t NumQueuedQueries() const override {
-    return inner_->NumQueuedQueries();
-  }
-  int64_t NumQueuedUpdates() const override {
-    return inner_->NumQueuedUpdates();
-  }
-  void RemoveQueued(Transaction* txn, SimTime now) override {
-    inner_->RemoveQueued(txn, now);
-  }
-  void ExportStats(MetricRegistry& registry) const override {
-    inner_->ExportStats(registry);
-  }
-
-  // The wrapped single-CPU policy (for rho-series extraction and tests).
-  Scheduler* inner() { return inner_; }
-  const Scheduler* inner() const { return inner_; }
-
- private:
-  std::unique_ptr<Scheduler> owned_;  // null when non-owning
-  Scheduler* inner_;
 };
 
 }  // namespace webdb

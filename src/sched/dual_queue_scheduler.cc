@@ -47,12 +47,13 @@ TxnQueue& DualQueueScheduler::LowQueue() {
   return options_.high_side == TxnKind::kQuery ? updates_ : queries_;
 }
 
-Transaction* DualQueueScheduler::PopNext(SimTime) {
+Transaction* DualQueueScheduler::PopNext(CpuId, SimTime) {
   Transaction* txn = HighQueue().Pop();
   return txn != nullptr ? txn : LowQueue().Pop();
 }
 
-bool DualQueueScheduler::ShouldPreempt(const Transaction& running, SimTime) {
+bool DualQueueScheduler::ShouldPreempt(CpuId, const Transaction& running,
+                                       SimTime) {
   // Preemption only across queues: a waiting high-kind transaction preempts
   // a running low-kind one. Within a queue execution is non-preemptive.
   return running.kind != options_.high_side && !HighQueue().Empty();

@@ -7,7 +7,7 @@
 // (preempt-resume; 2PL-HP data conflicts, resolved by the server, turn this
 // into a restart). Within each queue the configured low-level policy orders
 // transactions; the paper's configuration is VRD for queries, FIFO for
-// updates.
+// updates. Every configuration schedules one CPU.
 
 #ifndef WEBDB_SCHED_DUAL_QUEUE_SCHEDULER_H_
 #define WEBDB_SCHED_DUAL_QUEUE_SCHEDULER_H_
@@ -17,14 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "sched/cpu_set_scheduler.h"
 #include "sched/query_policy.h"
-#include "sched/scheduler.h"
 #include "sched/txn_queue.h"
 #include "sched/update_policy.h"
 
 namespace webdb {
 
-class DualQueueScheduler final : public Scheduler {
+class DualQueueScheduler final : public CpuSetScheduler {
  public:
   struct Options {
     TxnKind high_side = TxnKind::kUpdate;
@@ -40,12 +40,14 @@ class DualQueueScheduler final : public Scheduler {
   explicit DualQueueScheduler(Options options);
 
   std::string Name() const override { return name_; }
+  int num_cpus() const override { return 1; }
 
   void OnQueryArrival(Query* query, SimTime now) override;
   void OnUpdateArrival(Update* update, SimTime now) override;
   void Requeue(Transaction* txn, SimTime now) override;
-  Transaction* PopNext(SimTime now) override;
-  bool ShouldPreempt(const Transaction& running, SimTime now) override;
+  Transaction* PopNext(CpuId cpu, SimTime now) override;
+  bool ShouldPreempt(CpuId cpu, const Transaction& running,
+                     SimTime now) override;
   bool HasWork() const override;
   int64_t NumQueuedQueries() const override {
     return static_cast<int64_t>(queries_.Size());

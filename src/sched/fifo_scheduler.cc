@@ -35,13 +35,13 @@ void FifoScheduler::Requeue(Transaction* txn, SimTime) {
   ++CounterFor(*txn);
 }
 
-Transaction* FifoScheduler::PopNext(SimTime) {
+Transaction* FifoScheduler::PopNext(CpuId, SimTime) {
   Transaction* txn = queue_.Pop();
   if (txn != nullptr) --CounterFor(*txn);
   return txn;
 }
 
-bool FifoScheduler::ShouldPreempt(const Transaction&, SimTime) {
+bool FifoScheduler::ShouldPreempt(CpuId, const Transaction&, SimTime) {
   return false;  // non-preemptive
 }
 

@@ -62,7 +62,7 @@ struct FusionConfig {
   bool result_cache = false;
   SimDuration cache_ttl = Millis(50);
   // Let queries whose item sets span shards fuse when their shard-set
-  // signatures match (ShardedQutsScheduler rendezvous domains). No effect
+  // signatures match (QutsScheduler rendezvous domains). No effect
   // on single-shard topologies. Off by default for bit-identity.
   bool cross_shard_rendezvous = false;
 };

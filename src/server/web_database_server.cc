@@ -29,37 +29,22 @@ WebDatabaseServer::WebDatabaseServer(Database* database,
                                      CpuSetScheduler* scheduler,
                                      ServerConfig config)
     : WebDatabaseServer(std::make_unique<Simulator>(), nullptr, database,
-                        scheduler, nullptr, config) {}
+                        scheduler, config) {}
 
 WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
                                      CpuSetScheduler* scheduler,
                                      ServerConfig config)
-    : WebDatabaseServer(nullptr, simulator, database, scheduler, nullptr,
-                        config) {}
-
-WebDatabaseServer::WebDatabaseServer(Database* database, Scheduler* scheduler,
-                                     ServerConfig config)
-    : WebDatabaseServer(std::make_unique<Simulator>(), nullptr, database,
-                        nullptr, std::make_unique<SingleCpuAdapter>(scheduler),
-                        config) {}
-
-WebDatabaseServer::WebDatabaseServer(Simulator* simulator, Database* database,
-                                     Scheduler* scheduler, ServerConfig config)
-    : WebDatabaseServer(nullptr, simulator, database, nullptr,
-                        std::make_unique<SingleCpuAdapter>(scheduler),
-                        config) {}
+    : WebDatabaseServer(nullptr, simulator, database, scheduler, config) {}
 
 WebDatabaseServer::WebDatabaseServer(std::unique_ptr<Simulator> owned_sim,
                                      Simulator* simulator, Database* database,
                                      CpuSetScheduler* scheduler,
-                                     std::unique_ptr<SingleCpuAdapter> adapter,
                                      ServerConfig config)
     : db_(database),
-      sched_(adapter != nullptr ? adapter.get() : scheduler),
+      sched_(scheduler),
       config_(config),
       owned_sim_(std::move(owned_sim)),
       sim_(owned_sim_ != nullptr ? owned_sim_.get() : simulator),
-      owned_adapter_(std::move(adapter)),
       cpus_(sim_, sched_ == nullptr ? 1 : sched_->num_cpus()),
       locks_(NumItemsOf(database)),
       register_(NumItemsOf(database)),
@@ -108,6 +93,7 @@ Query* WebDatabaseServer::SubmitQuery(QueryType type,
                                       SimDuration exec_time, TenantId tenant) {
   WEBDB_CHECK(exec_time > 0);
   WEBDB_CHECK(tenant >= 0);
+  WEBDB_CHECK(!items.empty());
   for (ItemId item : items) {
     WEBDB_CHECK(item >= 0 && item < db_->NumItems());
   }

@@ -6,9 +6,8 @@
 // manager, a pluggable CPU-set scheduler, and the profit ledger. Clients
 // submit read-only queries (with Quality Contracts) and blind updates; the
 // server plays out the schedule and accounts response time, staleness, and
-// profit. The pool is sized from the scheduler's num_cpus(); legacy
-// single-CPU policies enter through an internally owned SingleCpuAdapter,
-// which reproduces the paper's single-CPU server call-for-call.
+// profit. The pool is sized from the scheduler's num_cpus(); with one CPU
+// the server is the paper's single-CPU server.
 //
 // Lifecycle of a query:
 //   Submit -> scheduler queue -> dispatch (read-lock item set) -> [preempt /
@@ -33,7 +32,6 @@
 #include "qc/quality_contract.h"
 #include "server/fusion.h"
 #include "sched/cpu_set_scheduler.h"
-#include "sched/scheduler.h"
 #include "server/metrics.h"
 #include "server/server_config.h"
 #include "sim/processor_pool.h"
@@ -58,21 +56,14 @@ class WebDatabaseServer : private ShedSink {
                     CpuSetScheduler* scheduler,
                     ServerConfig config = ServerConfig());
 
-  // Single-CPU compatibility: wraps `scheduler` in an internally owned
-  // SingleCpuAdapter (num_cpus = 1). Behaviour is bit-identical to the
-  // pre-CPU-set server.
-  WebDatabaseServer(Database* database, Scheduler* scheduler,
-                    ServerConfig config = ServerConfig());
-  WebDatabaseServer(Simulator* simulator, Database* database,
-                    Scheduler* scheduler, ServerConfig config = ServerConfig());
-
   WebDatabaseServer(const WebDatabaseServer&) = delete;
   WebDatabaseServer& operator=(const WebDatabaseServer&) = delete;
 
   // --- submission (at the simulator's current time) ------------------------
   // Returns the created query; the pointer stays valid for the server's
-  // lifetime. `items` must be valid ids of the database. `tenant` selects
-  // the tenant tier (only meaningful when ServerConfig::tenants is set).
+  // lifetime. `items` must be non-empty and valid ids of the database.
+  // `tenant` selects the tenant tier (only meaningful when
+  // ServerConfig::tenants is set).
   Query* SubmitQuery(QueryType type, std::vector<ItemId> items,
                      QualityContract qc, SimDuration exec_time,
                      TenantId tenant = 0);
@@ -96,7 +87,8 @@ class WebDatabaseServer : private ShedSink {
   const ProfitLedger& ledger() const { return ledger_; }
   const ServerMetrics& metrics() const { return metrics_; }
   // The registry backing the metrics, mutable so callers can pull a final
-  // Scheduler::ExportStats into it and snapshot (see exp/experiment.cc).
+  // CpuSetScheduler::ExportStats into it and snapshot (see
+  // exp/experiment.cc).
   MetricRegistry& metric_registry() { return metrics_.registry(); }
   const Database& database() const { return *db_; }
   const CpuSetScheduler& scheduler() const { return *sched_; }
@@ -159,12 +151,10 @@ class WebDatabaseServer : private ShedSink {
   uint64_t EndStateHash() const;
 
  private:
-  // Every public constructor lands here: `owned_sim` (or the shared
-  // `simulator` when null) drives the server, and `adapter` (when set)
-  // stands in for `scheduler`.
+  // Both public constructors land here: `owned_sim` (or the shared
+  // `simulator` when null) drives the server.
   WebDatabaseServer(std::unique_ptr<Simulator> owned_sim, Simulator* simulator,
                     Database* database, CpuSetScheduler* scheduler,
-                    std::unique_ptr<SingleCpuAdapter> adapter,
                     ServerConfig config);
 
   Transaction* Lookup(TxnId id);
@@ -241,8 +231,6 @@ class WebDatabaseServer : private ShedSink {
 
   std::unique_ptr<Simulator> owned_sim_;  // null when sharing
   Simulator* sim_;
-  // Owned adapter when constructed with a legacy single-CPU Scheduler.
-  std::unique_ptr<SingleCpuAdapter> owned_adapter_;
   ProcessorPool cpus_;
   // Per-item state, sized from the database (item ids are dense).
   LockManager locks_;

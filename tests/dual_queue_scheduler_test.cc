@@ -28,8 +28,8 @@ TEST(DualQueueTest, UhServesUpdatesBeforeQueries) {
   Update* u = pool.NewUpdate(5);
   sched->OnQueryArrival(q, 0);
   sched->OnUpdateArrival(u, 5);
-  EXPECT_EQ(sched->PopNext(5), u);
-  EXPECT_EQ(sched->PopNext(5), q);
+  EXPECT_EQ(sched->PopNext(0, 5), u);
+  EXPECT_EQ(sched->PopNext(0, 5), q);
 }
 
 TEST(DualQueueTest, QhServesQueriesBeforeUpdates) {
@@ -39,8 +39,8 @@ TEST(DualQueueTest, QhServesQueriesBeforeUpdates) {
   Query* q = pool.NewQuery(5);
   sched->OnUpdateArrival(u, 0);
   sched->OnQueryArrival(q, 5);
-  EXPECT_EQ(sched->PopNext(5), q);
-  EXPECT_EQ(sched->PopNext(5), u);
+  EXPECT_EQ(sched->PopNext(0, 5), q);
+  EXPECT_EQ(sched->PopNext(0, 5), u);
 }
 
 TEST(DualQueueTest, UhPreemptsRunningQuery) {
@@ -49,10 +49,10 @@ TEST(DualQueueTest, UhPreemptsRunningQuery) {
   Query* running = pool.NewQuery(0);
   Update* u = pool.NewUpdate(3);
   sched->OnUpdateArrival(u, 3);
-  EXPECT_TRUE(sched->ShouldPreempt(*running, 3));
+  EXPECT_TRUE(sched->ShouldPreempt(0, *running, 3));
   // But a running update is never preempted by another update.
   Update* running_update = pool.NewUpdate(1);
-  EXPECT_FALSE(sched->ShouldPreempt(*running_update, 3));
+  EXPECT_FALSE(sched->ShouldPreempt(0, *running_update, 3));
 }
 
 TEST(DualQueueTest, QhPreemptsRunningUpdate) {
@@ -61,9 +61,9 @@ TEST(DualQueueTest, QhPreemptsRunningUpdate) {
   Update* running = pool.NewUpdate(0);
   Query* q = pool.NewQuery(3);
   sched->OnQueryArrival(q, 3);
-  EXPECT_TRUE(sched->ShouldPreempt(*running, 3));
+  EXPECT_TRUE(sched->ShouldPreempt(0, *running, 3));
   Query* running_query = pool.NewQuery(1);
-  EXPECT_FALSE(sched->ShouldPreempt(*running_query, 3));
+  EXPECT_FALSE(sched->ShouldPreempt(0, *running_query, 3));
 }
 
 TEST(DualQueueTest, NoPreemptWithEmptyHighQueue) {
@@ -72,7 +72,7 @@ TEST(DualQueueTest, NoPreemptWithEmptyHighQueue) {
   Query* running = pool.NewQuery(0);
   Query* waiting = pool.NewQuery(1);
   sched->OnQueryArrival(waiting, 1);
-  EXPECT_FALSE(sched->ShouldPreempt(*running, 1));
+  EXPECT_FALSE(sched->ShouldPreempt(0, *running, 1));
 }
 
 TEST(DualQueueTest, QueriesOrderedByVrdWithinQueue) {
@@ -82,8 +82,8 @@ TEST(DualQueueTest, QueriesOrderedByVrdWithinQueue) {
   Query* high = pool.NewQuery(1, Millis(5), 50.0, 50.0, Millis(50));
   sched->OnQueryArrival(low, 0);
   sched->OnQueryArrival(high, 1);
-  EXPECT_EQ(sched->PopNext(1), high);
-  EXPECT_EQ(sched->PopNext(1), low);
+  EXPECT_EQ(sched->PopNext(0, 1), high);
+  EXPECT_EQ(sched->PopNext(0, 1), low);
 }
 
 TEST(DualQueueTest, FifoVariantOrdersQueriesByArrival) {
@@ -93,7 +93,7 @@ TEST(DualQueueTest, FifoVariantOrdersQueriesByArrival) {
   Query* late_high_value = pool.NewQuery(1, Millis(5), 99.0, 99.0, Millis(50));
   sched->OnQueryArrival(early_low_value, 0);
   sched->OnQueryArrival(late_high_value, 1);
-  EXPECT_EQ(sched->PopNext(1), early_low_value);
+  EXPECT_EQ(sched->PopNext(0, 1), early_low_value);
 }
 
 TEST(DualQueueTest, UpdatesFifoWithinQueue) {
@@ -103,8 +103,8 @@ TEST(DualQueueTest, UpdatesFifoWithinQueue) {
   Update* first = pool.NewUpdate(5);
   sched->OnUpdateArrival(second, 10);
   sched->OnUpdateArrival(first, 10);
-  EXPECT_EQ(sched->PopNext(10), first);
-  EXPECT_EQ(sched->PopNext(10), second);
+  EXPECT_EQ(sched->PopNext(0, 10), first);
+  EXPECT_EQ(sched->PopNext(0, 10), second);
 }
 
 TEST(DualQueueTest, RequeuePutsBackInOwnQueue) {
@@ -112,11 +112,11 @@ TEST(DualQueueTest, RequeuePutsBackInOwnQueue) {
   auto sched = MakeUpdateHigh();
   Update* u = pool.NewUpdate(0);
   sched->OnUpdateArrival(u, 0);
-  Transaction* popped = sched->PopNext(0);
+  Transaction* popped = sched->PopNext(0, 0);
   EXPECT_EQ(popped, u);
   sched->Requeue(popped, 1);
   EXPECT_EQ(sched->UpdateQueueSize(), 1u);
-  EXPECT_EQ(sched->PopNext(1), u);
+  EXPECT_EQ(sched->PopNext(0, 1), u);
 }
 
 TEST(DualQueueTest, RemoveQueuedAndSizes) {

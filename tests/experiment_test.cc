@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/quts_scheduler.h"
 #include "exp/scheduler_factory.h"
+#include "sched/fifo_scheduler.h"
 #include "trace/stock_trace_generator.h"
 
 namespace webdb {
@@ -15,7 +17,9 @@ TEST(SchedulerFactoryTest, NamesRoundTrip) {
         SchedulerKind::kFifoQueryHigh, SchedulerKind::kQuts}) {
     ASSERT_TRUE(SchedulerKindFromName(ToString(kind)).has_value());
     EXPECT_EQ(*SchedulerKindFromName(ToString(kind)), kind);
-    EXPECT_NE(MakeScheduler(kind), nullptr);
+    SchedulerSpec spec;
+    spec.kind = kind;
+    EXPECT_NE(MakeScheduler(spec), nullptr);
   }
 }
 
@@ -42,11 +46,10 @@ TEST(SchedulerFactoryTest, PaperSchedulersAreTheFourCompared) {
 
 TEST(ExperimentTest, FillsResultFields) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(21));
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   ExperimentOptions options;
   options.qc = BalancedProfile(QcShape::kStep);
-  const ExperimentResult result =
-      RunExperiment(trace, scheduler.get(), options);
+  const ExperimentResult result = RunExperiment(trace, &scheduler, options);
   EXPECT_EQ(result.scheduler, "QUTS");
   EXPECT_GT(result.queries_committed, 0);
   EXPECT_GT(result.updates_applied, 0);
@@ -58,11 +61,10 @@ TEST(ExperimentTest, FillsResultFields) {
 
 TEST(ExperimentTest, RegistrySnapshotMirrorsCountersAndRho) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(21));
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   ExperimentOptions options;
   options.qc = BalancedProfile(QcShape::kStep);
-  const ExperimentResult result =
-      RunExperiment(trace, scheduler.get(), options);
+  const ExperimentResult result = RunExperiment(trace, &scheduler, options);
 
   const double* committed = result.registry.Find("server.queries.committed");
   ASSERT_NE(committed, nullptr);
@@ -80,12 +82,11 @@ TEST(ExperimentTest, RegistrySnapshotMirrorsCountersAndRho) {
 
 TEST(ExperimentTest, PeriodicRegistrySeriesTracksTheRun) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(26));
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   ExperimentOptions options;
   options.qc = BalancedProfile(QcShape::kStep);
   options.server.metric_snapshot_period = Seconds(1);
-  const ExperimentResult result =
-      RunExperiment(trace, scheduler.get(), options);
+  const ExperimentResult result = RunExperiment(trace, &scheduler, options);
   ASSERT_GT(result.registry_series.size(), 1u);
   for (size_t i = 1; i < result.registry_series.size(); ++i) {
     EXPECT_GT(result.registry_series[i].time,
@@ -98,23 +99,21 @@ TEST(ExperimentTest, PeriodicRegistrySeriesTracksTheRun) {
 
 TEST(ExperimentTest, NonQutsSchedulerHasNoRhoSeries) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(22));
-  auto scheduler = MakeScheduler(SchedulerKind::kFifo);
+  FifoScheduler scheduler;
   ExperimentOptions options;
   options.qc = BalancedProfile(QcShape::kStep);
-  const ExperimentResult result =
-      RunExperiment(trace, scheduler.get(), options);
+  const ExperimentResult result = RunExperiment(trace, &scheduler, options);
   EXPECT_TRUE(result.rho_series.empty());
   EXPECT_EQ(result.scheduler, "FIFO");
 }
 
 TEST(ExperimentTest, ZeroContractsModeEarnsNothing) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(23));
-  auto scheduler = MakeScheduler(SchedulerKind::kFifo);
+  FifoScheduler scheduler;
   ExperimentOptions options;
   options.qc = ZeroContracts{};
   options.server.lifetime_factor = 0.0;
-  const ExperimentResult result =
-      RunExperiment(trace, scheduler.get(), options);
+  const ExperimentResult result = RunExperiment(trace, &scheduler, options);
   EXPECT_DOUBLE_EQ(result.qos_max, 0.0);
   EXPECT_DOUBLE_EQ(result.qos_gained, 0.0);
   EXPECT_EQ(result.queries_committed,
@@ -126,11 +125,10 @@ TEST(ExperimentTest, ScheduleModeUsesTimeVaryingProfiles) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(24));
   const auto schedule = TimeVaryingQcGenerator::AlternatingPreference(
       trace.EndTime() + 1, 2, 5.0, QcShape::kStep);
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   ExperimentOptions options;
   options.qc = QcSchedule{&schedule};
-  const ExperimentResult result =
-      RunExperiment(trace, scheduler.get(), options);
+  const ExperimentResult result = RunExperiment(trace, &scheduler, options);
   EXPECT_GT(result.total_pct, 0.0);
   // First half QoD-heavy, second half QoS-heavy: the per-second max series
   // must reflect the flip.
@@ -150,10 +148,10 @@ TEST(ExperimentTest, ScheduleModeUsesTimeVaryingProfiles) {
 
 TEST(ExperimentDeathTest, ScheduleSourceRequiresAGenerator) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(25));
-  auto scheduler = MakeScheduler(SchedulerKind::kFifo);
+  FifoScheduler scheduler;
   ExperimentOptions options;
   options.qc = QcSchedule{};  // null generator
-  EXPECT_DEATH(RunExperiment(trace, scheduler.get(), options), "");
+  EXPECT_DEATH(RunExperiment(trace, &scheduler, options), "");
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ TEST(FifoSchedulerTest, NameAndEmptyState) {
   FifoScheduler sched;
   EXPECT_EQ(sched.Name(), "FIFO");
   EXPECT_FALSE(sched.HasWork());
-  EXPECT_EQ(sched.PopNext(0), nullptr);
+  EXPECT_EQ(sched.PopNext(0, 0), nullptr);
 }
 
 TEST(FifoSchedulerTest, InterleavesByArrivalOrder) {
@@ -24,9 +24,9 @@ TEST(FifoSchedulerTest, InterleavesByArrivalOrder) {
   sched.OnUpdateArrival(u1, 5);
   sched.OnUpdateArrival(u2, 20);
   EXPECT_TRUE(sched.HasWork());
-  EXPECT_EQ(sched.PopNext(20), u1);
-  EXPECT_EQ(sched.PopNext(20), q1);
-  EXPECT_EQ(sched.PopNext(20), u2);
+  EXPECT_EQ(sched.PopNext(0, 20), u1);
+  EXPECT_EQ(sched.PopNext(0, 20), q1);
+  EXPECT_EQ(sched.PopNext(0, 20), u2);
   EXPECT_FALSE(sched.HasWork());
 }
 
@@ -36,7 +36,7 @@ TEST(FifoSchedulerTest, NeverPreempts) {
   Query* running = pool.NewQuery(0);
   Update* waiting = pool.NewUpdate(1);
   sched.OnUpdateArrival(waiting, 1);
-  EXPECT_FALSE(sched.ShouldPreempt(*running, 1));
+  EXPECT_FALSE(sched.ShouldPreempt(0, *running, 1));
 }
 
 TEST(FifoSchedulerTest, RequeuedTransactionKeepsArrivalOrder) {
@@ -46,11 +46,11 @@ TEST(FifoSchedulerTest, RequeuedTransactionKeepsArrivalOrder) {
   Query* newer = pool.NewQuery(2);
   sched.OnQueryArrival(old, 1);
   sched.OnQueryArrival(newer, 2);
-  Transaction* popped = sched.PopNext(3);
+  Transaction* popped = sched.PopNext(0, 3);
   EXPECT_EQ(popped, old);
   sched.Requeue(popped, 3);  // restarted: goes back before `newer`
-  EXPECT_EQ(sched.PopNext(3), old);
-  EXPECT_EQ(sched.PopNext(3), newer);
+  EXPECT_EQ(sched.PopNext(0, 3), old);
+  EXPECT_EQ(sched.PopNext(0, 3), newer);
 }
 
 TEST(FifoSchedulerTest, RemoveQueuedDropsTransaction) {
@@ -60,12 +60,12 @@ TEST(FifoSchedulerTest, RemoveQueuedDropsTransaction) {
   sched.OnQueryArrival(q, 0);
   sched.RemoveQueued(q, 1);
   EXPECT_FALSE(sched.HasWork());
-  EXPECT_EQ(sched.PopNext(1), nullptr);
+  EXPECT_EQ(sched.PopNext(0, 1), nullptr);
 }
 
 TEST(FifoSchedulerTest, NextDecisionTimeIsNever) {
   FifoScheduler sched;
-  EXPECT_EQ(sched.NextDecisionTime(123), kSimTimeMax);
+  EXPECT_EQ(sched.NextDecisionTime(0, 123), kSimTimeMax);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "exp/sweep_runner.h"
 #include "exp/trace_feeder.h"
 #include "qc/qc_generator.h"
+#include "sched/fifo_scheduler.h"
 #include "server/fusion.h"
 #include "server/web_database_server.h"
 #include "util/rng.h"
@@ -148,21 +149,19 @@ constexpr SimDuration kTtl = Millis(50);
 
 struct CacheHarness {
   Database db;
-  // Legacy single-CPU FIFO; the server wraps it in its SingleCpuAdapter.
-  std::unique_ptr<Scheduler> scheduler;
+  FifoScheduler scheduler;
   std::unique_ptr<WebDatabaseServer> server;
   QcGenerator qc_gen{BalancedProfile(QcShape::kStep)};
   Rng qc_rng{42};
 
   explicit CacheHarness(ServerConfig config = ServerConfig(),
                         int num_items = 8)
-      : db(num_items), scheduler(MakeScheduler(SchedulerKind::kFifo)) {
+      : db(num_items) {
     config.lifetime_factor = 0.0;
     config.fusion.enabled = true;
     config.fusion.result_cache = true;
     config.fusion.cache_ttl = kTtl;
-    server = std::make_unique<WebDatabaseServer>(&db, scheduler.get(),
-                                                 config);
+    server = std::make_unique<WebDatabaseServer>(&db, &scheduler, config);
   }
 
   Query* Submit(std::vector<ItemId> items,

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/quts_scheduler.h"
 #include "db/database.h"
 #include "exp/scheduler_factory.h"
 #include "qc/qc_generator.h"
+#include "sched/dual_queue_scheduler.h"
+#include "sched/fifo_scheduler.h"
 #include "server/web_database_server.h"
 #include "util/rng.h"
 
@@ -191,8 +194,8 @@ void RunWorkload(WebDatabaseServer& server, uint64_t seed) {
 
 TEST(ServerAuditTest, AuditInvariantsPassesMidRunAndAfterDrain) {
   Database db(6);
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
-  WebDatabaseServer server(&db, scheduler.get());
+  QutsScheduler scheduler{QutsScheduler::Options()};
+  WebDatabaseServer server(&db, &scheduler);
   // Mid-run audits (queues non-empty, CPU busy) must hold too.
   for (SimTime t : {Millis(50), Millis(200)}) {
     server.sim().ScheduleAt(t, [&server] { server.AuditInvariants(); });
@@ -210,10 +213,10 @@ TEST(ServerAuditTest, FusedWorkloadAuditsCleanWithLiveGroups) {
   // lookups over 6 items fuse heavily, so the mid-run audits walk live
   // groups and the fusion-group invariant actually fires its checks.
   Database db(6);
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   ServerConfig config;
   config.fusion.enabled = true;
-  WebDatabaseServer server(&db, scheduler.get(), config);
+  WebDatabaseServer server(&db, &scheduler, config);
   for (SimTime t : {Millis(50), Millis(200), Millis(400)}) {
     server.sim().ScheduleAt(t, [&server] { server.AuditInvariants(); });
   }
@@ -234,11 +237,11 @@ TEST(ServerAuditTest, CachedWorkloadAuditsCleanWithLiveEntries) {
   // audits walk live entries (seq snapshots intact) and committed hits
   // (settled against their source's commit time).
   Database db(6);
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   ServerConfig config;
   config.fusion.enabled = true;
   config.fusion.result_cache = true;
-  WebDatabaseServer server(&db, scheduler.get(), config);
+  WebDatabaseServer server(&db, &scheduler, config);
   for (SimTime t : {Millis(50), Millis(200), Millis(400)}) {
     server.sim().ScheduleAt(t, [&server] { server.AuditInvariants(); });
   }
@@ -305,7 +308,7 @@ TEST(ServerAuditTest, EndStateHashIsDeterministic) {
   uint64_t hashes[2];
   for (uint64_t& hash : hashes) {
     Database db(6);
-    auto scheduler = MakeScheduler(SchedulerKind::kUpdateHigh);
+    auto scheduler = MakeUpdateHigh();
     WebDatabaseServer server(&db, scheduler.get());
     RunWorkload(server, 123);
     hash = server.EndStateHash();
@@ -319,7 +322,9 @@ TEST(ServerAuditTest, EndStateHashIsScheduleSensitive) {
                                  SchedulerKind::kUpdateHigh};
   for (int i = 0; i < 2; ++i) {
     Database db(6);
-    auto scheduler = MakeScheduler(kinds[i]);
+    SchedulerSpec spec;
+    spec.kind = kinds[i];
+    auto scheduler = MakeScheduler(spec);
     WebDatabaseServer server(&db, scheduler.get());
     RunWorkload(server, 123);
     by_kind[i] = server.EndStateHash();
@@ -334,8 +339,8 @@ TEST(ServerAuditTest, EndStateHashSeesWorkloadDifferences) {
   const uint64_t seeds[] = {123, 124};
   for (int i = 0; i < 2; ++i) {
     Database db(6);
-    auto scheduler = MakeScheduler(SchedulerKind::kFifo);
-    WebDatabaseServer server(&db, scheduler.get());
+    FifoScheduler scheduler;
+    WebDatabaseServer server(&db, &scheduler);
     RunWorkload(server, seeds[i]);
     by_seed[i] = server.EndStateHash();
   }
@@ -344,8 +349,8 @@ TEST(ServerAuditTest, EndStateHashSeesWorkloadDifferences) {
 
 TEST(ServerAuditTest, EmptyServerAuditsCleanAndHashesStably) {
   Database db(2);
-  auto scheduler = MakeScheduler(SchedulerKind::kFifo);
-  WebDatabaseServer server(&db, scheduler.get());
+  FifoScheduler scheduler;
+  WebDatabaseServer server(&db, &scheduler);
   server.AuditInvariants();
   const uint64_t before = server.EndStateHash();
   server.Run();  // nothing scheduled

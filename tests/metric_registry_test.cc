@@ -1,5 +1,10 @@
 #include "obs/metric_registry.h"
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/quts_scheduler.h"
@@ -108,7 +113,7 @@ TEST(MetricRegistryTest, FifoExportStatsUsesDefaultQueueGauges) {
   EXPECT_DOUBLE_EQ(registry.Value("scheduler.queue.updates"), 1.0);
 
   // Idempotent: draining the queue and re-exporting overwrites in place.
-  scheduler.PopNext(Millis(4));
+  scheduler.PopNext(0, Millis(4));
   scheduler.ExportStats(registry);
   EXPECT_DOUBLE_EQ(registry.Value("scheduler.queue.queries") +
                        registry.Value("scheduler.queue.updates"),
@@ -116,22 +121,66 @@ TEST(MetricRegistryTest, FifoExportStatsUsesDefaultQueueGauges) {
 }
 
 TEST(MetricRegistryTest, QutsExportStatsPublishesRho) {
-  TxnPool pool;
-  QutsScheduler scheduler{QutsScheduler::Options()};
-  scheduler.OnQueryArrival(pool.NewQuery(Millis(1)), Millis(1));
-  scheduler.OnUpdateArrival(pool.NewUpdate(Millis(2)), Millis(2));
+  // One gauge set at every CPU count: the generic queue depths plus the
+  // QUTS state, with rho the plain mean of the per-shard values.
+  for (int cpus : {1, 4}) {
+    SCOPED_TRACE(cpus);
+    TxnPool pool;
+    QutsScheduler scheduler(QutsScheduler::Options(), cpus);
+    // Spread QoS-heavy and QoD-heavy demand over the symbol space, then
+    // cross an adaptation boundary so the shards' rho values diverge.
+    for (ItemId item = 0; item < 16; ++item) {
+      const bool qos_heavy = item % 2 == 0;
+      Query* query = pool.NewQuery(Millis(1), Millis(5),
+                                   qos_heavy ? 100.0 : 1.0,
+                                   qos_heavy ? 1.0 : 100.0);
+      query->items = {item};
+      scheduler.OnQueryArrival(query, Millis(1));
+    }
+    scheduler.OnUpdateArrival(pool.NewUpdate(Millis(2)), Millis(2));
+    scheduler.PopNext(0, Millis(1500));
 
-  MetricRegistry registry;
-  scheduler.ExportStats(registry);
-  EXPECT_TRUE(registry.Has("scheduler.quts.rho"));
-  EXPECT_DOUBLE_EQ(registry.Value("scheduler.quts.rho"), scheduler.rho());
-  EXPECT_GE(registry.Value("scheduler.quts.rho"), 0.0);
-  EXPECT_LE(registry.Value("scheduler.quts.rho"), 1.0);
-  // Generic queue gauges ride along with the QUTS-specific ones.
-  EXPECT_DOUBLE_EQ(registry.Value("scheduler.queue.queries"), 1.0);
-  EXPECT_DOUBLE_EQ(registry.Value("scheduler.queue.updates"), 1.0);
-  EXPECT_TRUE(registry.Has("scheduler.quts.adaptations"));
-  EXPECT_TRUE(registry.Has("scheduler.quts.atom.redraws"));
+    MetricRegistry registry;
+    scheduler.ExportStats(registry);
+    std::vector<std::string> want = {
+        "scheduler.queue.queries",     "scheduler.queue.updates",
+        "scheduler.quts.adaptations",  "scheduler.quts.atom.redraws",
+        "scheduler.quts.rho",          "scheduler.quts.shards",
+        "scheduler.quts.steals"};
+    for (int k = 0; k < cpus; ++k) {
+      want.push_back("scheduler.quts.shard" + std::to_string(k) + ".rho");
+    }
+    std::sort(want.begin(), want.end());
+    std::vector<std::string> names;
+    for (const auto& [name, value] : registry.Snap(0).values) {
+      names.push_back(name);
+    }
+    EXPECT_EQ(names, want);
+
+    double sum = 0.0;
+    for (int k = 0; k < cpus; ++k) {
+      const double shard_rho =
+          registry.Value("scheduler.quts.shard" + std::to_string(k) + ".rho");
+      EXPECT_DOUBLE_EQ(shard_rho, scheduler.rho(k));
+      sum += shard_rho;
+    }
+    EXPECT_DOUBLE_EQ(registry.Value("scheduler.quts.rho"), sum / cpus);
+    EXPECT_DOUBLE_EQ(registry.Value("scheduler.quts.rho"), scheduler.rho());
+    EXPECT_GE(registry.Value("scheduler.quts.rho"), 0.5);
+    EXPECT_LE(registry.Value("scheduler.quts.rho"), 1.0);
+    EXPECT_DOUBLE_EQ(registry.Value("scheduler.quts.shards"), cpus);
+    EXPECT_DOUBLE_EQ(registry.Value("scheduler.quts.adaptations"), 1.0);
+    EXPECT_GE(registry.Value("scheduler.quts.atom.redraws"), 1.0);
+    // PopNext dispatched one of the 17 transactions.
+    EXPECT_DOUBLE_EQ(registry.Value("scheduler.queue.queries") +
+                         registry.Value("scheduler.queue.updates"),
+                     16.0);
+    if (cpus > 1) {
+      std::set<double> distinct;
+      for (int k = 0; k < cpus; ++k) distinct.insert(scheduler.rho(k));
+      EXPECT_GT(distinct.size(), 1u) << "shards saw different demand mixes";
+    }
+  }
 }
 
 }  // namespace

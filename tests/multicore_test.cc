@@ -1,17 +1,13 @@
-// Multi-core server model: the CPU-set protocol, the single-CPU adapter's
-// bit-identity guarantee, and the sharded QUTS scheduler's determinism.
-//
-// The adapter tests are the load-bearing ones: the whole CPU-set redesign
-// rests on "num_cpus = 1 through the new API reproduces the legacy
-// schedule bit-for-bit", which lets the pinned goldens and end-state hashes
-// stand untouched.
+// Multi-core server model: the CPU-set protocol and multi-CPU QUTS's
+// determinism (one shard per CPU, work stealing, shard placement). The
+// one-CPU schedules are pinned by tests/regression_test.cc.
 
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/sharded_quts_scheduler.h"
+#include "core/quts_scheduler.h"
 #include "db/database.h"
 #include "exp/experiment.h"
 #include "exp/scheduler_factory.h"
@@ -45,11 +41,6 @@ class MulticoreTest : public ::testing::Test {
     return options;
   }
 
-  static ExperimentResult RunLegacy(SchedulerKind kind) {
-    auto scheduler = MakeScheduler(kind);
-    return RunExperiment(*trace_, scheduler.get(), Options());
-  }
-
   static ExperimentResult RunSpec(const SchedulerSpec& spec) {
     return RunExperiment(*trace_, spec, Options());
   }
@@ -58,33 +49,6 @@ class MulticoreTest : public ::testing::Test {
 };
 
 Trace* MulticoreTest::trace_ = nullptr;
-
-TEST_F(MulticoreTest, AdapterReproducesLegacyEndStateHashes) {
-  // Every legacy policy driven through the CPU-set server via the factory's
-  // SingleCpuAdapter path must take the exact same schedule as the legacy
-  // Scheduler* overload — hash equality, not statistical closeness.
-  for (SchedulerKind kind : PaperSchedulers()) {
-    const ExperimentResult legacy = RunLegacy(kind);
-    SchedulerSpec spec;
-    spec.kind = kind;
-    const ExperimentResult adapted = RunSpec(spec);
-    EXPECT_EQ(adapted.end_state_hash, legacy.end_state_hash)
-        << "adapter changed the schedule for " << ToString(kind);
-    EXPECT_EQ(adapted.queries_committed, legacy.queries_committed);
-    EXPECT_EQ(adapted.preemptions, legacy.preemptions);
-    EXPECT_DOUBLE_EQ(adapted.total_pct, legacy.total_pct);
-  }
-}
-
-TEST_F(MulticoreTest, AdapterKeepsPinnedHashes) {
-  // Same pins as tests/regression_test.cc, reached through the new API.
-  SchedulerSpec fifo;
-  fifo.kind = SchedulerKind::kFifo;
-  EXPECT_EQ(RunSpec(fifo).end_state_hash, 0x1f17fc51c80bfd70ULL);
-  SchedulerSpec quts;
-  quts.kind = SchedulerKind::kQuts;
-  EXPECT_EQ(RunSpec(quts).end_state_hash, 0x815b75c154044dafULL);
-}
 
 TEST_F(MulticoreTest, ShardedRunIsBitIdenticalAcrossReruns) {
   SchedulerSpec spec;
@@ -122,10 +86,8 @@ TEST_F(MulticoreTest, WorkStealingPinnedAgainstSeededTrace) {
   // concentrates query mass on hot symbols, so some home shards run dry
   // while others back up. The steal count is part of the deterministic
   // schedule, so it must reproduce exactly across reruns.
-  ShardedQutsScheduler::Options options;
-  options.num_cpus = 4;
-  auto run = [&] {
-    ShardedQutsScheduler scheduler(options);
+  auto run = [] {
+    QutsScheduler scheduler(QutsScheduler::Options(), 4);
     const ExperimentResult result =
         RunExperiment(*trace_, &scheduler, Options());
     return std::pair<int64_t, uint64_t>(scheduler.steals(),
@@ -138,22 +100,9 @@ TEST_F(MulticoreTest, WorkStealingPinnedAgainstSeededTrace) {
   EXPECT_EQ(first.second, second.second);
 }
 
-TEST_F(MulticoreTest, StealingOffKeepsShardsIsolated) {
-  ShardedQutsScheduler::Options options;
-  options.num_cpus = 4;
-  options.enable_stealing = false;
-  ShardedQutsScheduler scheduler(options);
-  const ExperimentResult result =
-      RunExperiment(*trace_, &scheduler, Options());
-  EXPECT_EQ(scheduler.steals(), 0);
-  EXPECT_GT(result.queries_committed, 0);
-}
-
 TEST_F(MulticoreTest, ShardPlacementIsSeedStableAndHome) {
-  ShardedQutsScheduler::Options options;
-  options.num_cpus = 4;
-  ShardedQutsScheduler a(options);
-  ShardedQutsScheduler b(options);
+  QutsScheduler a(QutsScheduler::Options(), 4);
+  QutsScheduler b(QutsScheduler::Options(), 4);
   EXPECT_EQ(a.num_shards(), 4);
   for (ItemId item = 0; item < 64; ++item) {
     const int shard = a.ShardOfItem(item);
@@ -173,9 +122,7 @@ TEST_F(MulticoreTest, FactoryRejectsMultiCoreNonQuts) {
 TEST_F(MulticoreTest, MidRunAuditHoldsAtFourCpus) {
   // Drive a 4-CPU server directly and audit invariants mid-flight, not
   // just at the drained end state (RunExperiment audits there already).
-  ShardedQutsScheduler::Options options;
-  options.num_cpus = 4;
-  ShardedQutsScheduler scheduler(options);
+  QutsScheduler scheduler(QutsScheduler::Options(), 4);
   Database db(trace_->num_items);
   WebDatabaseServer server(&db, &scheduler);
   Rng rng(7);

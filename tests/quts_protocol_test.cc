@@ -1,12 +1,12 @@
 // Exhaustive QUTS Table-2 protocol check (core/quts_protocol.h).
 //
-// Drivers arrange the real schedulers — QutsScheduler and
-// ShardedQutsScheduler at one and two shards — into every abstract
-// (state, event) pair of the declarative transition table and compare the
-// observed action against RequiredAction. The regression fixtures
-// reintroduce the two historical hand-fixed bugs into the reference model
-// and prove the checker rejects exactly them, i.e. it would have flagged
-// both defects before merge.
+// One driver arranges the real scheduler — QutsScheduler at one and two
+// CPUs — into every abstract (state, event) pair of the declarative
+// transition table and compares the observed action against
+// RequiredAction. The regression fixtures reintroduce the two historical
+// hand-fixed bugs into a reference model of the table and prove the
+// checker rejects exactly them, i.e. it would have flagged both defects
+// before merge.
 
 #include "core/quts_protocol.h"
 
@@ -16,16 +16,18 @@
 #include <gtest/gtest.h>
 
 #include "core/quts_scheduler.h"
-#include "core/sharded_quts_scheduler.h"
 #include "test_txns.h"
 #include "util/rng.h"
-#include "util/seed.h"
 #include "util/time.h"
 
 namespace webdb {
 namespace {
 
 constexpr SimDuration kTau = Millis(10);
+
+TxnKind Other(TxnKind kind) {
+  return kind == TxnKind::kQuery ? TxnKind::kUpdate : TxnKind::kQuery;
+}
 
 TxnKind RunningKindOf(QutsRunning running) {
   return running == QutsRunning::kQuery ? TxnKind::kQuery : TxnKind::kUpdate;
@@ -43,14 +45,13 @@ TxnKind DrawFrom(Rng& rng) {
   return rng.NextDouble() < 0.5 ? TxnKind::kQuery : TxnKind::kUpdate;
 }
 
-// Smallest seed whose ξ stream (after `transform`ing the seed the way the
-// scheduler under test does) opens with exactly {first, second}. The
-// drivers use it to make "the next draw picks side X" a constructible
-// arrangement instead of a probabilistic one.
-template <typename SeedTransform>
-uint64_t SeedForDraws(TxnKind first, TxnKind second, SeedTransform transform) {
+// Smallest base seed whose shard-0 ξ stream on `num_cpus` CPUs (seeded by
+// the scheduler's own rule) opens with exactly {first, second}. The driver
+// uses it to make "the next draw picks side X" a constructible arrangement
+// instead of a probabilistic one.
+uint64_t SeedForDraws(TxnKind first, TxnKind second, int num_cpus) {
   for (uint64_t candidate = 1;; ++candidate) {
-    Rng probe(transform(candidate));
+    Rng probe(QutsScheduler::ShardSeed(candidate, 0, num_cpus));
     if (DrawFrom(probe) == first && DrawFrom(probe) == second) {
       return candidate;
     }
@@ -63,14 +64,22 @@ QutsAction PopActionOf(const Transaction* txn) {
                                       : QutsAction::kPopUpdate;
 }
 
-// Arranges a single-CPU QutsScheduler: ρ frozen at 1/2 so the seeded ξ
-// stream alone decides draws; a primer transaction of the state's side is
-// popped at t=0 to commit the side and start the atom clock (consuming
-// draw #1, which the seed pins to the side); the queue occupancy arrives
-// mid-atom; the event fires either mid-atom (τ/2) or at the boundary (τ),
-// where it consumes draw #2 — pinned to the state's `draw`.
+// Arranges QutsScheduler on `num_cpus` CPUs with all work homed on shard 0
+// and driven from CPU 0: ρ frozen at 1/2 so the seeded ξ stream alone
+// decides draws; a primer transaction of the state's side is popped at t=0
+// to commit the side and start the atom clock (consuming draw #1, which the
+// seed pins to the side); the queue occupancy arrives mid-atom; the event
+// fires either mid-atom (τ/2) or at the boundary (τ), where it consumes
+// draw #2 — pinned to the state's `draw`. With more than one CPU the other
+// shards stay empty, so shard 0's Table 2 machine must behave exactly like
+// the one-CPU one (the steal scan finds no victims).
 class RealQutsDriver final : public QutsProtocolDriver {
  public:
+  explicit RealQutsDriver(int num_cpus) : num_cpus_(num_cpus) {}
+
+  // Events fired so far: one per checked (state, event) pair.
+  int fired() const { return fired_; }
+
   void Arrange(const QutsProtoState& state) override {
     pool_ = std::make_unique<TxnPool>();
     QutsScheduler::Options options;
@@ -79,81 +88,8 @@ class RealQutsDriver final : public QutsProtocolDriver {
     options.initial_rho = 0.5;
     options.freeze_rho = true;
     options.slicing = QutsSlicing::kRandom;
-    options.seed =
-        SeedForDraws(state.side, state.draw, [](uint64_t s) { return s; });
-    scheduler_ = std::make_unique<QutsScheduler>(options);
-
-    Transaction* primer = Submit(state.side, 0);
-    runner_ = scheduler_->PopNext(0);
-    EXPECT_EQ(runner_, primer);
-    EXPECT_EQ(scheduler_->current_side(), state.side);
-
-    if (HasQueued(state.queues, TxnKind::kQuery)) {
-      Submit(TxnKind::kQuery, Millis(2));
-    }
-    if (HasQueued(state.queues, TxnKind::kUpdate)) {
-      Submit(TxnKind::kUpdate, Millis(2));
-    }
-    // Arrivals are pure enqueues: they must not move the atom or the side.
-    EXPECT_EQ(scheduler_->current_side(), state.side);
-    now_ = state.atom == QutsAtom::kExpired ? kTau : kTau / 2;
-  }
-
-  QutsAction Fire(QutsProtoEvent event) override {
-    switch (event) {
-      case QutsProtoEvent::kPopNext:
-        return PopActionOf(scheduler_->PopNext(now_));
-      case QutsProtoEvent::kShouldPreempt:
-        return scheduler_->ShouldPreempt(*runner_, now_)
-                   ? QutsAction::kPreempt
-                   : QutsAction::kKeepRunning;
-      case QutsProtoEvent::kNextDecisionTime:
-        return ClassifyWake(scheduler_->NextDecisionTime(now_), now_, kTau);
-    }
-    return QutsAction::kPopNone;
-  }
-
- private:
-  Transaction* Submit(TxnKind kind, SimTime at) {
-    if (kind == TxnKind::kQuery) {
-      Query* query = pool_->NewQuery(at);
-      scheduler_->OnQueryArrival(query, at);
-      return query;
-    }
-    Update* update = pool_->NewUpdate(at);
-    scheduler_->OnUpdateArrival(update, at);
-    return update;
-  }
-
-  std::unique_ptr<TxnPool> pool_;
-  std::unique_ptr<QutsScheduler> scheduler_;
-  Transaction* runner_ = nullptr;
-  SimTime now_ = 0;
-};
-
-// Same arrangement against ShardedQutsScheduler through the CPU-set
-// protocol, all work homed on shard 0 and driven from CPU 0. With more
-// than one shard the other shards stay empty, so shard 0's Table 2 machine
-// must behave exactly like the single-CPU one (the steal scan finds no
-// victims).
-class RealShardedQutsDriver final : public QutsProtocolDriver {
- public:
-  explicit RealShardedQutsDriver(int num_shards) : num_shards_(num_shards) {}
-
-  void Arrange(const QutsProtoState& state) override {
-    pool_ = std::make_unique<TxnPool>();
-    ShardedQutsScheduler::Options options;
-    options.quts.atom_time = kTau;
-    options.quts.adaptation_period = Seconds(1000);
-    options.quts.initial_rho = 0.5;
-    options.quts.freeze_rho = true;
-    options.quts.slicing = QutsSlicing::kRandom;
-    // Shard 0 draws from Rng(DeriveSeed(seed, 0)); pin that stream.
-    options.quts.seed = SeedForDraws(
-        state.side, state.draw, [](uint64_t s) { return DeriveSeed(s, 0); });
-    options.num_cpus = 1;
-    options.num_shards = num_shards_;
-    scheduler_ = std::make_unique<ShardedQutsScheduler>(options);
+    options.seed = SeedForDraws(state.side, state.draw, num_cpus_);
+    scheduler_ = std::make_unique<QutsScheduler>(options, num_cpus_);
 
     // An item that homes on shard 0 under this scheduler's salt.
     item_ = 0;
@@ -162,6 +98,7 @@ class RealShardedQutsDriver final : public QutsProtocolDriver {
     Transaction* primer = Submit(state.side, 0);
     runner_ = scheduler_->PopNext(0, 0);
     EXPECT_EQ(runner_, primer);
+    EXPECT_EQ(scheduler_->current_side(0), state.side);
 
     if (HasQueued(state.queues, TxnKind::kQuery)) {
       Submit(TxnKind::kQuery, Millis(2));
@@ -169,10 +106,13 @@ class RealShardedQutsDriver final : public QutsProtocolDriver {
     if (HasQueued(state.queues, TxnKind::kUpdate)) {
       Submit(TxnKind::kUpdate, Millis(2));
     }
+    // Arrivals are pure enqueues: they must not move the atom or the side.
+    EXPECT_EQ(scheduler_->current_side(0), state.side);
     now_ = state.atom == QutsAtom::kExpired ? kTau : kTau / 2;
   }
 
   QutsAction Fire(QutsProtoEvent event) override {
+    ++fired_;
     switch (event) {
       case QutsProtoEvent::kPopNext:
         return PopActionOf(scheduler_->PopNext(0, now_));
@@ -200,12 +140,94 @@ class RealShardedQutsDriver final : public QutsProtocolDriver {
     return update;
   }
 
-  int num_shards_;
+  int num_cpus_;
+  int fired_ = 0;
   ItemId item_ = 0;
   std::unique_ptr<TxnPool> pool_;
-  std::unique_ptr<ShardedQutsScheduler> scheduler_;
+  std::unique_ptr<QutsScheduler> scheduler_;
   Transaction* runner_ = nullptr;
   SimTime now_ = 0;
+};
+
+// --- reference model + historical-bug injection ----------------------------
+
+enum class QutsBug {
+  kNone,
+  // Pre-hotfix defect 1: the atom-boundary draw preempted the running
+  // transaction even when the drawn side's queue was empty, over-serving
+  // that side beyond its ρ share (fixed in ShouldPreempt).
+  kPreemptOntoEmptySide,
+  // Pre-hotfix defect 2: NextDecisionTime returned the stale atom expiry
+  // (<= now) instead of clamping a full atom ahead, scheduling zero-delay
+  // wake-ups that spin without progress (fixed in NextDecisionTime).
+  kZeroDelayWakeup,
+};
+
+// Minimal reference implementation of the Table 2 loop (two counters for
+// the queues, one side, one atom clock, a scripted draw) with injectable
+// historical bugs. With QutsBug::kNone it passes CheckQutsProtocol by
+// construction; with a bug injected the checker must reject it — that
+// round trip is what proves the checker would have caught the real
+// defects.
+class ModelQutsDriver final : public QutsProtocolDriver {
+ public:
+  explicit ModelQutsDriver(QutsBug bug) : bug_(bug) {}
+
+  void Arrange(const QutsProtoState& state) override { state_ = state; }
+
+  QutsAction Fire(QutsProtoEvent event) override {
+    // A concrete miniature of the Table 2 machine: the atom started at 0
+    // with length τ; the event fires either mid-atom or exactly at the
+    // boundary.
+    const SimTime expiry = kTau;
+    const SimTime now = state_.atom == QutsAtom::kExpired ? expiry : kTau / 2;
+    TxnKind side = state_.side;
+    switch (event) {
+      case QutsProtoEvent::kPopNext: {
+        if (now >= expiry) side = state_.draw;  // boundary redraw
+        if (!HasQueued(state_.queues, side)) {
+          if (!HasQueued(state_.queues, Other(side))) {
+            return QutsAction::kPopNone;
+          }
+          side = Other(side);  // immediate state change on an empty queue
+        }
+        return side == TxnKind::kQuery ? QutsAction::kPopQuery
+                                       : QutsAction::kPopUpdate;
+      }
+      case QutsProtoEvent::kShouldPreempt: {
+        if (now < expiry) return QutsAction::kKeepRunning;
+        const TxnKind drawn = state_.draw;
+        const TxnKind running = RunningKindOf(state_.running);
+        if (bug_ == QutsBug::kPreemptOntoEmptySide) {
+          // Defect 1 verbatim: the draw alone decides — an empty drawn
+          // queue still evicts the running transaction.
+          return drawn != running ? QutsAction::kPreempt
+                                  : QutsAction::kKeepRunning;
+        }
+        if (drawn != running && HasQueued(state_.queues, drawn)) {
+          return QutsAction::kPreempt;
+        }
+        return QutsAction::kKeepRunning;
+      }
+      case QutsProtoEvent::kNextDecisionTime: {
+        if (state_.queues == QutsQueues::kBothEmpty) {
+          return QutsAction::kNoWake;
+        }
+        if (bug_ == QutsBug::kZeroDelayWakeup) {
+          // Defect 2 verbatim: hand back the raw expiry even when it is
+          // already due, i.e. a zero-delay wake-up.
+          return ClassifyWake(expiry, now, kTau);
+        }
+        const SimTime wake = expiry <= now ? now + kTau : expiry;
+        return ClassifyWake(wake, now, kTau);
+      }
+    }
+    return QutsAction::kPopNone;
+  }
+
+ private:
+  QutsBug bug_;
+  QutsProtoState state_;
 };
 
 std::string Report(const std::vector<QutsProtoViolation>& violations) {
@@ -258,22 +280,18 @@ TEST(QutsProtocolCheck, ReferenceModelMatchesTable) {
   EXPECT_TRUE(violations.empty()) << Report(violations);
 }
 
-TEST(QutsProtocolCheck, QutsSchedulerMatchesTable) {
-  RealQutsDriver driver;
+TEST(QutsProtocolCheck, QutsSchedulerOneCpuMatchesTable) {
+  RealQutsDriver driver(1);
   const auto violations = CheckQutsProtocol(driver);
   EXPECT_TRUE(violations.empty()) << Report(violations);
+  EXPECT_EQ(driver.fired(), 128);
 }
 
-TEST(QutsProtocolCheck, ShardedQutsSingleShardMatchesTable) {
-  RealShardedQutsDriver driver(1);
+TEST(QutsProtocolCheck, QutsSchedulerTwoCpusMatchesTable) {
+  RealQutsDriver driver(2);
   const auto violations = CheckQutsProtocol(driver);
   EXPECT_TRUE(violations.empty()) << Report(violations);
-}
-
-TEST(QutsProtocolCheck, ShardedQutsTwoShardsMatchesTable) {
-  RealShardedQutsDriver driver(2);
-  const auto violations = CheckQutsProtocol(driver);
-  EXPECT_TRUE(violations.empty()) << Report(violations);
+  EXPECT_EQ(driver.fired(), 128);
 }
 
 // --- regression fixtures: the checker rejects the historical bugs -----------

@@ -32,7 +32,7 @@ TEST(QutsTest, AdaptsTowardOneWhenQosDominates) {
   Query* q = pool.NewQuery(0, Millis(5), /*qos=*/100.0, /*qod=*/1.0);
   sched.OnQueryArrival(q, 0);
   // Cross the adaptation boundary.
-  sched.PopNext(Millis(150));
+  sched.PopNext(0, Millis(150));
   EXPECT_DOUBLE_EQ(sched.rho(), 1.0);  // min(100/2 + 0.5, 1)
 }
 
@@ -41,7 +41,7 @@ TEST(QutsTest, AdaptsTowardHalfWhenQodDominates) {
   QutsScheduler sched(FastOptions());
   Query* q = pool.NewQuery(0, Millis(5), /*qos=*/0.0, /*qod=*/100.0);
   sched.OnQueryArrival(q, 0);
-  sched.PopNext(Millis(150));
+  sched.PopNext(0, Millis(150));
   EXPECT_DOUBLE_EQ(sched.rho(), 0.5);
 }
 
@@ -49,7 +49,7 @@ TEST(QutsTest, EmptyWindowLeavesRhoUnchanged) {
   QutsScheduler::Options options = FastOptions();
   options.initial_rho = 0.77;
   QutsScheduler sched(options);
-  sched.PopNext(Millis(1000));  // many empty windows elapse
+  sched.PopNext(0, Millis(1000));  // many empty windows elapse
   EXPECT_DOUBLE_EQ(sched.rho(), 0.77);
 }
 
@@ -61,7 +61,7 @@ TEST(QutsTest, AgingSmoothsRho) {
   QutsScheduler sched(options);
   Query* q = pool.NewQuery(0, Millis(5), 100.0, 1.0);  // ρ_new = 1
   sched.OnQueryArrival(q, 0);
-  sched.PopNext(Millis(150));
+  sched.PopNext(0, Millis(150));
   EXPECT_DOUBLE_EQ(sched.rho(), 0.75);  // 0.5*0.5 + 0.5*1.0
 }
 
@@ -70,7 +70,7 @@ TEST(QutsTest, RhoSeriesRecordsAdaptations) {
   QutsScheduler sched(FastOptions());
   Query* q = pool.NewQuery(0, Millis(5), 100.0, 100.0);
   sched.OnQueryArrival(q, 0);
-  sched.PopNext(Millis(350));  // 3 full windows elapsed
+  sched.PopNext(0, Millis(350));  // 3 full windows elapsed
   // Initial point + one per window boundary.
   ASSERT_GE(sched.rho_series().size(), 4u);
   EXPECT_EQ(sched.rho_series()[0].first, 0);
@@ -83,7 +83,7 @@ TEST(QutsTest, PopsFromNonEmptyQueueWhenPickedIsEmpty) {
   Update* u = pool.NewUpdate(0);
   sched.OnUpdateArrival(u, 0);
   // Whatever side the coin picks, the update must come out.
-  EXPECT_EQ(sched.PopNext(0), u);
+  EXPECT_EQ(sched.PopNext(0, 0), u);
   EXPECT_FALSE(sched.HasWork());
 }
 
@@ -98,8 +98,8 @@ TEST(QutsTest, WithRhoOneQueriesAlwaysWinTheDraw) {
     sched.OnQueryArrival(q, round);
     sched.OnUpdateArrival(u, round);
     // Fresh atom each pop (time advances far beyond τ).
-    EXPECT_EQ(sched.PopNext(Millis(20) * (round + 1)), q);
-    EXPECT_EQ(sched.PopNext(Millis(20) * (round + 1)), u);
+    EXPECT_EQ(sched.PopNext(0, Millis(20) * (round + 1)), q);
+    EXPECT_EQ(sched.PopNext(0, Millis(20) * (round + 1)), u);
   }
 }
 
@@ -117,10 +117,10 @@ TEST(QutsTest, DrawFrequencyTracksRho) {
     const SimTime now = Millis(100) * (round + 1);
     sched.OnQueryArrival(q, now);
     sched.OnUpdateArrival(u, now);
-    Transaction* first = sched.PopNext(now);
+    Transaction* first = sched.PopNext(0, now);
     if (first->kind == TxnKind::kQuery) ++query_first;
-    sched.PopNext(now + 1);
-    sched.PopNext(now + 2);  // drain (nullptr ok)
+    sched.PopNext(0, now + 1);
+    sched.PopNext(0, now + 2);  // drain (nullptr ok)
   }
   EXPECT_NEAR(static_cast<double>(query_first) / rounds, 0.7, 0.05);
 }
@@ -130,12 +130,12 @@ TEST(QutsTest, NoPreemptionMidAtom) {
   QutsScheduler sched(FastOptions());
   Query* q = pool.NewQuery(0, Millis(5), 1.0, 1.0);
   sched.OnQueryArrival(q, 0);
-  Transaction* running = sched.PopNext(0);
+  Transaction* running = sched.PopNext(0, 0);
   ASSERT_EQ(running, q);
   Update* u = pool.NewUpdate(1);
   sched.OnUpdateArrival(u, 1);
   // Atom started at t=0 with τ=10ms: no preemption inside it.
-  EXPECT_FALSE(sched.ShouldPreempt(*running, Millis(5)));
+  EXPECT_FALSE(sched.ShouldPreempt(0, *running, Millis(5)));
 }
 
 TEST(QutsTest, AtomExpiryAllowsSwitch) {
@@ -146,14 +146,14 @@ TEST(QutsTest, AtomExpiryAllowsSwitch) {
   QutsScheduler sched(options);
   Query* q = pool.NewQuery(0, Millis(5), 1.0, 1.0);
   sched.OnQueryArrival(q, 0);
-  Transaction* running = sched.PopNext(0);
+  Transaction* running = sched.PopNext(0, 0);
   Update* u = pool.NewUpdate(1);
   sched.OnUpdateArrival(u, 1);
   // With ρ = 0.5 the draw eventually lands on the update side; keep probing
   // successive atom boundaries.
   bool preempted = false;
   for (int k = 1; k <= 100 && !preempted; ++k) {
-    preempted = sched.ShouldPreempt(*running, Millis(10) * k);
+    preempted = sched.ShouldPreempt(0, *running, Millis(10) * k);
   }
   EXPECT_TRUE(preempted);
 }
@@ -165,13 +165,13 @@ TEST(QutsTest, NextDecisionTimeIsAtomExpiryWhenBusy) {
   Query* q2 = pool.NewQuery(0, Millis(5), 1.0, 1.0);
   sched.OnQueryArrival(q, 0);
   sched.OnQueryArrival(q2, 0);
-  sched.PopNext(0);  // starts an atom at t=0
-  EXPECT_EQ(sched.NextDecisionTime(1), Millis(10));
+  sched.PopNext(0, 0);  // starts an atom at t=0
+  EXPECT_EQ(sched.NextDecisionTime(0, 1), Millis(10));
 }
 
 TEST(QutsTest, NextDecisionTimeNeverWhenIdle) {
   QutsScheduler sched(FastOptions());
-  EXPECT_EQ(sched.NextDecisionTime(0), kSimTimeMax);
+  EXPECT_EQ(sched.NextDecisionTime(0, 0), kSimTimeMax);
 }
 
 TEST(QutsTest, NextDecisionTimeMakesProgressOnExpiredAtom) {
@@ -179,13 +179,13 @@ TEST(QutsTest, NextDecisionTimeMakesProgressOnExpiredAtom) {
   QutsScheduler sched(FastOptions());
   Query* q = pool.NewQuery(0, Millis(5), 1.0, 1.0);
   sched.OnQueryArrival(q, 0);
-  sched.PopNext(0);  // atom starts at t=0, expires at t=10ms
+  sched.PopNext(0, 0);  // atom starts at t=0, expires at t=10ms
   Update* u = pool.NewUpdate(1);
   sched.OnUpdateArrival(u, Millis(25));
   // The atom expired 15ms ago. The old code answered `now`, which let the
   // server schedule a zero-delay wake-up every step; the decision time
   // must always be strictly in the future.
-  const SimTime t = sched.NextDecisionTime(Millis(25));
+  const SimTime t = sched.NextDecisionTime(0, Millis(25));
   EXPECT_GT(t, Millis(25));
   EXPECT_EQ(t, Millis(25) + sched.options().atom_time);
 }
@@ -201,7 +201,7 @@ TEST(QutsTest, BoundaryDrawForRunningSideDoesNotPreempt) {
   QutsScheduler sched(options);
   Query* q = pool.NewQuery(0, Millis(5), 1.0, 1.0);
   sched.OnQueryArrival(q, 0);
-  Transaction* running = sched.PopNext(0);
+  Transaction* running = sched.PopNext(0, 0);
   ASSERT_EQ(running, q);
   Update* u = pool.NewUpdate(1);
   sched.OnUpdateArrival(u, 1);
@@ -209,10 +209,10 @@ TEST(QutsTest, BoundaryDrawForRunningSideDoesNotPreempt) {
   // the running transaction. Its queue is empty, but the running query IS
   // the query side's work: the old fallover flipped to the update side and
   // preempted anyway, switching sides against the draw.
-  EXPECT_FALSE(sched.ShouldPreempt(*running, Millis(10)));
+  EXPECT_FALSE(sched.ShouldPreempt(0, *running, Millis(10)));
   EXPECT_EQ(sched.current_side(), TxnKind::kQuery);
   // Mid-atom after the boundary decision: still no preemption.
-  EXPECT_FALSE(sched.ShouldPreempt(*running, Millis(15)));
+  EXPECT_FALSE(sched.ShouldPreempt(0, *running, Millis(15)));
 }
 
 TEST(QutsTest, BoundaryDrawForEmptyOppositeSideKeepsRunningSide) {
@@ -225,14 +225,14 @@ TEST(QutsTest, BoundaryDrawForEmptyOppositeSideKeepsRunningSide) {
   Query* q2 = pool.NewQuery(0, Millis(5), 1.0, 1.0);
   sched.OnQueryArrival(q1, 0);
   sched.OnQueryArrival(q2, 0);
-  Transaction* running = sched.PopNext(0);
+  Transaction* running = sched.PopNext(0, 0);
   // Boundary: the draw picks the update side, but no update is queued —
   // immediate state change back to the only side with work (the running
   // query's). The scheduler must not park on an empty side while a query
   // runs.
-  EXPECT_FALSE(sched.ShouldPreempt(*running, Millis(10)));
+  EXPECT_FALSE(sched.ShouldPreempt(0, *running, Millis(10)));
   EXPECT_EQ(sched.current_side(), TxnKind::kQuery);
-  EXPECT_EQ(sched.PopNext(Millis(11)), q2);
+  EXPECT_EQ(sched.PopNext(0, Millis(11)), q2);
 }
 
 TEST(QutsTest, BoundaryDrawForOppositeSideWithWorkPreempts) {
@@ -243,10 +243,10 @@ TEST(QutsTest, BoundaryDrawForOppositeSideWithWorkPreempts) {
   QutsScheduler sched(options);
   Query* q = pool.NewQuery(0, Millis(5), 1.0, 1.0);
   sched.OnQueryArrival(q, 0);
-  Transaction* running = sched.PopNext(0);
+  Transaction* running = sched.PopNext(0, 0);
   Update* u = pool.NewUpdate(1);
   sched.OnUpdateArrival(u, 1);
-  EXPECT_TRUE(sched.ShouldPreempt(*running, Millis(10)));
+  EXPECT_TRUE(sched.ShouldPreempt(0, *running, Millis(10)));
   EXPECT_EQ(sched.current_side(), TxnKind::kUpdate);
 }
 
@@ -261,7 +261,7 @@ TEST(QutsTest, DeterministicSlicingBoundarySequencePinned) {
   sched.OnQueryArrival(q, 0);
   // PopNext's draw: credit 0.0 + 0.5 < 1 → update side, falls over to the
   // query side (idle CPU, only a query queued).
-  Transaction* running = sched.PopNext(0);
+  Transaction* running = sched.PopNext(0, 0);
   ASSERT_EQ(running, q);
   Update* u = pool.NewUpdate(1);
   sched.OnUpdateArrival(u, 1);
@@ -269,9 +269,9 @@ TEST(QutsTest, DeterministicSlicingBoundarySequencePinned) {
   // query (credit wraps to 0), then 0.5 → update, ... Each probe below is
   // one atom boundary; the query keeps running through query draws and is
   // preempted on the first update draw.
-  EXPECT_FALSE(sched.ShouldPreempt(*running, Millis(10)));  // draw: query
+  EXPECT_FALSE(sched.ShouldPreempt(0, *running, Millis(10)));  // draw: query
   EXPECT_EQ(sched.current_side(), TxnKind::kQuery);
-  EXPECT_TRUE(sched.ShouldPreempt(*running, Millis(20)));   // draw: update
+  EXPECT_TRUE(sched.ShouldPreempt(0, *running, Millis(20)));   // draw: update
   EXPECT_EQ(sched.current_side(), TxnKind::kUpdate);
 }
 
@@ -289,9 +289,9 @@ TEST(QutsTest, DeterministicAcrossInstancesWithSameSeed) {
     a.OnUpdateArrival(ua, now);
     b.OnQueryArrival(qb, now);
     b.OnUpdateArrival(ub, now);
-    EXPECT_EQ(a.PopNext(now)->kind, b.PopNext(now)->kind);
-    a.PopNext(now + 1);
-    b.PopNext(now + 1);
+    EXPECT_EQ(a.PopNext(0, now)->kind, b.PopNext(0, now)->kind);
+    a.PopNext(0, now + 1);
+    b.PopNext(0, now + 1);
   }
 }
 
@@ -310,8 +310,8 @@ TEST(QutsTest, DeterministicSlicingMatchesRhoShare) {
     const SimTime now = Millis(100) * (round + 1);
     sched.OnQueryArrival(q, now);
     sched.OnUpdateArrival(u, now);
-    if (sched.PopNext(now)->kind == TxnKind::kQuery) ++query_first;
-    sched.PopNext(now + 1);
+    if (sched.PopNext(0, now)->kind == TxnKind::kQuery) ++query_first;
+    sched.PopNext(0, now + 1);
   }
   // Bresenham slicing hits the share exactly up to floating-point drift in
   // the credit accumulator (no sampling noise).
@@ -332,8 +332,8 @@ TEST(QutsTest, DeterministicSlicingIsPeriodic) {
     const SimTime now = Millis(100) * (round + 1);
     sched.OnQueryArrival(q, now);
     sched.OnUpdateArrival(u, now);
-    sides.push_back(sched.PopNext(now)->kind);
-    sched.PopNext(now + 1);
+    sides.push_back(sched.PopNext(0, now)->kind);
+    sched.PopNext(0, now + 1);
   }
   // rho = 0.5 alternates strictly: U, Q, U, Q, ...
   for (size_t i = 0; i < sides.size(); ++i) {
@@ -350,7 +350,7 @@ TEST(QutsTest, FreezeRhoDisablesAdaptation) {
   QutsScheduler sched(options);
   Query* q = pool.NewQuery(0, Millis(5), /*qos=*/100.0, /*qod=*/1.0);
   sched.OnQueryArrival(q, 0);
-  sched.PopNext(Seconds(10));  // many windows elapse
+  sched.PopNext(0, Seconds(10));  // many windows elapse
   EXPECT_DOUBLE_EQ(sched.rho(), 0.3);
   // Frozen runs still record only the initial point.
   EXPECT_EQ(sched.rho_series().size(), 1u);

@@ -38,12 +38,13 @@ class RegressionTest : public ::testing::Test {
   }
 
   static ExperimentResult Run(SchedulerKind kind) {
-    auto scheduler = MakeScheduler(kind);
+    SchedulerSpec spec;
+    spec.kind = kind;
     ExperimentOptions options;
     options.qc_seed = 99;
     options.qc = BalancedProfile(QcShape::kStep);
     options.compute_end_state_hash = true;
-    return RunExperiment(*trace_, scheduler.get(), options);
+    return RunExperiment(*trace_, spec, options);
   }
 
   static Trace* trace_;

@@ -1,13 +1,15 @@
 // Edge-case server tests: lock release on drop of a preempted holder,
 // multi-holder conflict resolution, FIFO-rank inheritance, alternative
-// staleness metrics end-to-end, dispatch-overhead accounting, and the
-// lifetime-deadline event of every way a query can finish.
+// staleness metrics end-to-end, dispatch-overhead accounting, the
+// lifetime-deadline event of every way a query can finish, and submission
+// input checks.
 
 #include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/quts_scheduler.h"
 #include "db/database.h"
 #include "sched/admission.h"
 #include "sched/dual_queue_scheduler.h"
@@ -308,6 +310,22 @@ TEST(ServerLifetimeTest, FusedMemberPastItsDeadlineDropsAtDissolution) {
   EXPECT_EQ(server.sim().NumPending(), 0u);
   EXPECT_TRUE(server.IsQuiescent());
   server.AuditInvariants();
+}
+
+// --- submission input checks ---------------------------------------------
+
+TEST(ServerEdgeDeathTest, EmptyItemSetIsRejectedAtSubmission) {
+  // A query must read at least one item, whatever the CPU count: QUTS homes
+  // a query on the shard of its first item.
+  for (int cpus : {1, 4}) {
+    SCOPED_TRACE(cpus);
+    Database db(4);
+    QutsScheduler scheduler(QutsScheduler::Options(), cpus);
+    WebDatabaseServer server(&db, &scheduler);
+    EXPECT_DEATH(
+        server.SubmitQuery(QueryType::kLookup, {}, StepQc(), Millis(5)),
+        "items.empty");
+  }
 }
 
 }  // namespace

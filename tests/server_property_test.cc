@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/quts_scheduler.h"
 #include "exp/experiment.h"
 #include "exp/scheduler_factory.h"
 #include "trace/stock_trace_generator.h"
@@ -26,11 +27,12 @@ Trace LoadedTrace(uint64_t seed) {
 
 ExperimentResult RunOnce(const Trace& trace, SchedulerKind kind,
                      uint64_t qc_seed = 7) {
-  auto scheduler = MakeScheduler(kind);
+  SchedulerSpec spec;
+  spec.kind = kind;
   ExperimentOptions options;
   options.qc_seed = qc_seed;
   options.qc = BalancedProfile(QcShape::kStep);
-  return RunExperiment(trace, scheduler.get(), options);
+  return RunExperiment(trace, spec, options);
 }
 
 class SchedulerPropertyTest
@@ -99,11 +101,10 @@ TEST(SchedulerOrderingTest, UpdateHighIsFreshestQueryHighIsFastest) {
 
 TEST(SchedulerOrderingTest, QutsRhoStaysInTheFeasibleBand) {
   const Trace trace = LoadedTrace(5);
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   ExperimentOptions options;
   options.qc = BalancedProfile(QcShape::kStep);
-  const ExperimentResult result =
-      RunExperiment(trace, scheduler.get(), options);
+  const ExperimentResult result = RunExperiment(trace, &scheduler, options);
   ASSERT_FALSE(result.rho_series.empty());
   for (const auto& [time, rho] : result.rho_series) {
     EXPECT_GE(rho, 0.5 - 1e-9);

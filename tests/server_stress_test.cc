@@ -16,6 +16,8 @@
 #include "db/database.h"
 #include "exp/scheduler_factory.h"
 #include "qc/qc_generator.h"
+#include "sched/dual_queue_scheduler.h"
+#include "sched/fifo_scheduler.h"
 #include "server/web_database_server.h"
 #include "util/rng.h"
 
@@ -32,7 +34,9 @@ struct StressConfig {
 };
 
 void RunStress(SchedulerKind kind, uint64_t seed, const StressConfig& cfg) {
-  auto scheduler = MakeScheduler(kind);
+  SchedulerSpec spec;
+  spec.kind = kind;
+  auto scheduler = MakeScheduler(spec);
   Database db(cfg.num_items);
   WebDatabaseServer server(&db, scheduler.get(), cfg.server);
   Rng rng(seed);
@@ -161,7 +165,7 @@ TEST(RestartStormTest, HeavyPreemptionKeepsQueueAccountingExact) {
   // queue depths still match the per-state transaction populations (the
   // dual-queue conservation law), i.e. that compaction and the Remove()
   // bookkeeping never drift.
-  auto scheduler = MakeScheduler(SchedulerKind::kQueryHigh);
+  auto scheduler = MakeQueryHigh();
   Database db(2);
   WebDatabaseServer server(&db, scheduler.get(), ServerConfig());
   Rng rng(7);
@@ -200,11 +204,11 @@ TEST(RestartStormTest, HeavyPreemptionKeepsQueueAccountingExact) {
 }
 
 TEST(QueueSamplingTest, SamplesRecordedWhileBusy) {
-  auto scheduler = MakeScheduler(SchedulerKind::kFifo);
+  FifoScheduler scheduler;
   Database db(8);
   ServerConfig config;
   config.queue_sample_period = Millis(1);
-  WebDatabaseServer server(&db, scheduler.get(), config);
+  WebDatabaseServer server(&db, &scheduler, config);
   // 10 ms of queued work on distinct items -> ~10 samples.
   for (int i = 0; i < 5; ++i) {
     server.SubmitUpdate(static_cast<ItemId>(i), i, Millis(2));

@@ -6,9 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "core/quts_scheduler.h"
 #include "exp/experiment.h"
 #include "exp/scheduler_factory.h"
 #include "obs/span_summary.h"
+#include "sched/fifo_scheduler.h"
 #include "trace/stock_trace_generator.h"
 
 namespace webdb {
@@ -105,13 +107,12 @@ TEST(TracerTest, EventTypeNamesRoundTrip) {
 // the span summarizer (the `trace_tool summarize-spans` path).
 TEST(TracerTest, ServerTraceMatchesMetrics) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(31));
-  auto scheduler = MakeScheduler(SchedulerKind::kQuts);
+  QutsScheduler scheduler{QutsScheduler::Options()};
   Tracer tracer;
   ExperimentOptions options;
   options.qc = BalancedProfile(QcShape::kStep);
   options.server.tracer = &tracer;
-  const ExperimentResult result =
-      RunExperiment(trace, scheduler.get(), options);
+  const ExperimentResult result = RunExperiment(trace, &scheduler, options);
   ASSERT_GT(tracer.NumEvents(), 0u);
 
   int64_t query_commits = 0, update_commits = 0, preempts = 0, drops = 0;
@@ -149,12 +150,12 @@ TEST(TracerTest, ServerTraceMatchesMetrics) {
 // parse back, summarize — identical totals.
 TEST(TracerTest, SummaryStableAcrossJsonlRoundTrip) {
   const Trace trace = GenerateStockTrace(StockTraceConfig::Small(33));
-  auto scheduler = MakeScheduler(SchedulerKind::kFifo);
+  FifoScheduler scheduler;
   Tracer tracer;
   ExperimentOptions options;
   options.qc = BalancedProfile(QcShape::kStep);
   options.server.tracer = &tracer;
-  RunExperiment(trace, scheduler.get(), options);
+  RunExperiment(trace, &scheduler, options);
 
   std::stringstream stream;
   tracer.WriteJsonl(stream);
