@@ -112,6 +112,14 @@ std::string ExponentialDecayProfitFunction::DebugString() const {
   return out.str();
 }
 
+std::shared_ptr<const ProfitFunction> SharedZeroProfitFunction() {
+  static const ZeroProfitFunction zero;
+  // Aliasing constructor over an empty owner: the pointer shares no control
+  // block, so copies of it cost no allocation and no atomic count.
+  return std::shared_ptr<const ProfitFunction>(
+      std::shared_ptr<const ProfitFunction>(), &zero);
+}
+
 bool IsNonIncreasing(const ProfitFunction& fn, double hi, int samples) {
   WEBDB_CHECK(hi > 0.0 && samples >= 2);
   double prev = fn.Profit(0.0);

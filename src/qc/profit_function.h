@@ -124,6 +124,11 @@ class ZeroProfitFunction final : public ProfitFunction {
   std::string DebugString() const override { return "zero"; }
 };
 
+// The one shared ZeroProfitFunction: an immutable static behind a
+// non-owning shared_ptr (no control block), so neither this call nor any
+// copy of the pointer allocates or touches a reference count.
+std::shared_ptr<const ProfitFunction> SharedZeroProfitFunction();
+
 // Validates the non-increasing property by probing `fn` on a uniform grid of
 // `samples` points over [0, hi]. Returns true when no increase is found.
 // Used by tests and by debug assertions on user-supplied functions.

@@ -89,10 +89,8 @@ bool ParseQcSpec(const std::string& spec, QualityContract* qc,
                            "' (want step | linear | exp)");
   }
 
-  std::shared_ptr<const ProfitFunction> qos_fn =
-      std::make_shared<ZeroProfitFunction>();
-  std::shared_ptr<const ProfitFunction> qod_fn =
-      std::make_shared<ZeroProfitFunction>();
+  std::shared_ptr<const ProfitFunction> qos_fn = SharedZeroProfitFunction();
+  std::shared_ptr<const ProfitFunction> qod_fn = qos_fn;
   QcCombination combination = QcCombination::kQosIndependent;
 
   for (size_t i = 1; i < tokens.size(); ++i) {

@@ -16,8 +16,8 @@ std::string ToString(QcCombination combination) {
 }
 
 QualityContract::QualityContract()
-    : qos_fn_(std::make_shared<ZeroProfitFunction>()),
-      qod_fn_(std::make_shared<ZeroProfitFunction>()),
+    : qos_fn_(SharedZeroProfitFunction()),
+      qod_fn_(qos_fn_),
       combination_(QcCombination::kQosIndependent) {}
 
 QualityContract::QualityContract(

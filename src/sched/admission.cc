@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 
 #include "audit/invariant_auditor.h"
 #include "util/logging.h"
@@ -105,35 +106,28 @@ bool ExpectedProfitAdmission::Admit(const Query& query,
   return false;
 }
 
-// --- Shed policy -----------------------------------------------------------
-
-double ExpectedProfitShedPolicy::Worth(const Query& query, SimTime now) const {
-  const SimDuration best_response = (now - query.arrival) + query.remaining;
-  return query.qc.QosProfit(best_response) + query.qc.qod_max();
-}
-
 // --- DbfAdmission ----------------------------------------------------------
 
 DbfAdmission::DbfAdmission(Options options)
     : num_cpus_(options.num_cpus),
       supply_factor_(options.supply_factor),
-      tenants_(std::move(options.tenants)),
-      shed_policy_(std::move(options.shed_policy)) {
+      tenants_(std::move(options.tenants)) {
   WEBDB_CHECK(num_cpus_ >= 1);
   WEBDB_CHECK(supply_factor_ > 0.0);
-  if (shed_policy_ == nullptr) {
-    shed_policy_ = std::make_unique<ExpectedProfitShedPolicy>();
-  }
-  demand_.resize(static_cast<size_t>(num_cpus_));
+  lanes_.resize(static_cast<size_t>(num_cpus_));
 }
 
-DbfAdmission::~DbfAdmission() = default;
+double DbfAdmission::Worth(const Query& query, SimTime now) {
+  const SimDuration best_response = (now - query.arrival) + query.remaining;
+  return query.qc.QosProfit(best_response) + query.qc.qod_max();
+}
 
 std::optional<DbfAdmission::Entry> DbfAdmission::DemandOf(const Query& query,
                                                           SimTime now) const {
   const SimDuration rt_max = query.qc.rt_max();
   if (rt_max <= 0) return std::nullopt;  // no QoS deadline: best effort
   Entry entry;
+  entry.id = query.id;
   entry.deadline = now + rt_max;
   entry.demand = static_cast<SimDuration>(
       std::llround(static_cast<double>(query.service_time) *
@@ -143,36 +137,24 @@ std::optional<DbfAdmission::Entry> DbfAdmission::DemandOf(const Query& query,
   return entry;
 }
 
-bool DbfAdmission::FitsWith(int32_t cpu, SimTime deadline, SimDuration demand,
-                            SimTime now,
-                            const std::vector<TxnId>& excluded) const {
-  WEBDB_DCHECK(cpu >= 0 && cpu < num_cpus_);
-  // Demand of planned evictions, grouped by node deadline on this lane.
-  std::map<SimTime, SimDuration> minus;
-  for (TxnId id : excluded) {
-    const auto it = entries_.find(id);
-    WEBDB_DCHECK(it != entries_.end());
-    if (it->second.cpu == cpu) minus[it->second.deadline] += it->second.demand;
-  }
+bool DbfAdmission::Fits(const Lane& lane, SimTime deadline, SimDuration demand,
+                        SimTime now) const {
   const auto supply = [&](SimTime t) {
     return static_cast<double>(t - now) * supply_factor_;
   };
+  // The new demand sits before any node with the same deadline.
   double cum = 0.0;
   bool placed = false;
-  for (const auto& [t, d] : demand_[static_cast<size_t>(cpu)]) {
-    if (!placed && t >= deadline) {
+  for (const Node& node : lane) {
+    if (!placed && node.deadline >= deadline) {
       cum += static_cast<double>(demand);
       if (cum > supply(deadline)) return false;
       placed = true;
     }
-    const auto minus_it = minus.find(t);
-    const SimDuration node =
-        d - (minus_it == minus.end() ? 0 : minus_it->second);
-    WEBDB_DCHECK(node >= 0);
-    cum += static_cast<double>(node);
+    cum += static_cast<double>(node.demand);
     // Nodes before the new deadline are unaffected by the new demand; only
     // the new node and later ones need (re)checking.
-    if (placed && cum > supply(t)) return false;
+    if (placed && cum > supply(node.deadline)) return false;
   }
   if (!placed) {
     cum += static_cast<double>(demand);
@@ -181,47 +163,117 @@ bool DbfAdmission::FitsWith(int32_t cpu, SimTime deadline, SimDuration demand,
   return true;
 }
 
-void DbfAdmission::Register(const Query& query, const Entry& entry) {
-  WEBDB_DCHECK(entries_.count(query.id) == 0);
-  entries_[query.id] = entry;
-  demand_[static_cast<size_t>(entry.cpu)][entry.deadline] += entry.demand;
+std::vector<DbfAdmission::Entry>::const_iterator DbfAdmission::FindEntry(
+    TxnId id) const {
+  const auto it = std::ranges::lower_bound(entries_, id, {}, &Entry::id);
+  return it != entries_.end() && it->id == id ? it : entries_.end();
+}
+
+void DbfAdmission::Register(const Entry& entry) {
+  const auto it = std::ranges::lower_bound(entries_, entry.id, {}, &Entry::id);
+  WEBDB_DCHECK(it == entries_.end() || it->id != entry.id);
+  entries_.insert(it, entry);
+  Lane& lane = lanes_[static_cast<size_t>(entry.cpu)];
+  const auto node =
+      std::ranges::lower_bound(lane, entry.deadline, {}, &Node::deadline);
+  if (node != lane.end() && node->deadline == entry.deadline) {
+    node->demand += entry.demand;
+  } else {
+    lane.insert(node, Node{entry.deadline, entry.demand});
+  }
 }
 
 void DbfAdmission::Release(TxnId id) {
-  const auto it = entries_.find(id);
+  const auto it = FindEntry(id);
   if (it == entries_.end()) return;
-  const Entry& entry = it->second;
-  auto& lane = demand_[static_cast<size_t>(entry.cpu)];
-  const auto node = lane.find(entry.deadline);
+  Lane& lane = lanes_[static_cast<size_t>(it->cpu)];
+  const auto node =
+      std::ranges::lower_bound(lane, it->deadline, {}, &Node::deadline);
   // The node may already be gone: PruneExpired drops past-deadline nodes
   // while their (late) queries are still in flight.
-  if (node != lane.end()) {
-    node->second -= entry.demand;
-    if (node->second <= 0) lane.erase(node);
+  if (node != lane.end() && node->deadline == it->deadline) {
+    node->demand -= it->demand;
+    if (node->demand <= 0) lane.erase(node);
   }
   entries_.erase(it);
 }
 
 void DbfAdmission::PruneExpired(SimTime now) {
-  for (auto& lane : demand_) {
-    while (!lane.empty() && lane.begin()->first <= now) {
-      lane.erase(lane.begin());
-    }
+  for (Lane& lane : lanes_) {
+    auto live = lane.begin();
+    while (live != lane.end() && live->deadline <= now) ++live;
+    lane.erase(lane.begin(), live);
   }
 }
 
+DbfAdmission::Plan DbfAdmission::PlanEviction(const Query& query,
+                                              const Entry& want, SimTime now) {
+  const double incoming_worth =
+      Worth(query, now) / tenants_.WeightFor(query.tenant);
+  candidates_.clear();
+  for (const Entry& entry : entries_) {
+    const double worth =
+        Worth(*entry.query, now) / tenants_.WeightFor(entry.query->tenant);
+    if (worth < incoming_worth) {
+      candidates_.push_back(
+          {worth, entry.id, entry.cpu, entry.deadline, entry.demand});
+    }
+  }
+  // One run per lane, each in (worth, TxnId) order — the id is the
+  // deterministic tie-break.
+  std::sort(candidates_.begin(), candidates_.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.cpu != b.cpu) return a.cpu < b.cpu;
+              if (a.worth != b.worth) return a.worth < b.worth;
+              return a.id < b.id;
+            });
+
+  // Per lane, shed the cheapest candidates until the newcomer fits; the
+  // strictly cheapest plan wins, so the lowest CPU takes ties.
+  Plan best;
+  double best_cost = 0.0;
+  for (size_t begin = 0, end = 0; begin < candidates_.size(); begin = end) {
+    const int32_t cpu = candidates_[begin].cpu;
+    end = begin;
+    while (end < candidates_.size() && candidates_[end].cpu == cpu) ++end;
+    const Lane& lane = lanes_[static_cast<size_t>(cpu)];
+    residual_.assign(lane.begin(), lane.end());
+    double cost = 0.0;
+    for (size_t i = begin; i < end; ++i) {
+      const Candidate& victim = candidates_[i];
+      cost += victim.worth;
+      // A late victim's node may have been pruned: nothing to subtract.
+      const auto node = std::ranges::lower_bound(residual_, victim.deadline,
+                                                 {}, &Node::deadline);
+      if (node != residual_.end() && node->deadline == victim.deadline) {
+        node->demand -= victim.demand;
+        WEBDB_DCHECK(node->demand >= 0);
+      }
+      if (Fits(residual_, want.deadline, want.demand, now)) {
+        if (best.cpu < 0 || cost < best_cost) {
+          best = Plan{cpu, begin, i - begin + 1};
+          best_cost = cost;
+        }
+        break;
+      }
+    }
+  }
+  return best;
+}
+
 bool DbfAdmission::Admit(const Query& query, const AdmissionContext& context) {
-  WEBDB_DCHECK(context.num_cpus == num_cpus_);
+  // Checked in every build: a controller with fewer lanes than the server
+  // has CPUs would silently admit against a fraction of the real supply.
+  WEBDB_CHECK(context.num_cpus == num_cpus_);
   PruneExpired(context.now);
   std::optional<Entry> want = DemandOf(query, context.now);
   if (!want) return true;  // no deadline, no demand: best effort
 
-  static const std::vector<TxnId> kNoEvictions;
   for (int32_t cpu = 0; cpu < num_cpus_; ++cpu) {
-    if (FitsWith(cpu, want->deadline, want->demand, context.now,
-                 kNoEvictions)) {
+    if (Fits(lanes_[static_cast<size_t>(cpu)], want->deadline, want->demand,
+             context.now)) {
       want->cpu = cpu;
-      Register(query, *want);
+      Register(*want);
       return true;
     }
   }
@@ -233,70 +285,33 @@ bool DbfAdmission::Admit(const Query& query, const AdmissionContext& context) {
     ++rejected_;
     return false;
   }
-  const double incoming_worth = shed_policy_->Worth(query, context.now) /
-                                tenants_.WeightFor(query.tenant);
-
-  struct Candidate {
-    double worth = 0.0;
-    TxnId id = 0;
-    int32_t cpu = -1;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) {
-    const double worth = shed_policy_->Worth(*entry.query, context.now) /
-                         tenants_.WeightFor(entry.query->tenant);
-    if (worth < incoming_worth) candidates.push_back({worth, id, entry.cpu});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.worth != b.worth) return a.worth < b.worth;
-              return a.id < b.id;  // deterministic tie-break
-            });
-
-  std::vector<TxnId> best_plan;
-  double best_cost = 0.0;
-  int32_t best_cpu = -1;
-  for (int32_t cpu = 0; cpu < num_cpus_; ++cpu) {
-    std::vector<TxnId> plan;
-    double cost = 0.0;
-    bool feasible = false;
-    for (const Candidate& candidate : candidates) {
-      if (candidate.cpu != cpu) continue;
-      plan.push_back(candidate.id);
-      cost += candidate.worth;
-      if (FitsWith(cpu, want->deadline, want->demand, context.now, plan)) {
-        feasible = true;
-        break;
-      }
-    }
-    if (feasible && (best_cpu < 0 || cost < best_cost)) {
-      best_plan = std::move(plan);
-      best_cost = cost;
-      best_cpu = cpu;
-    }
-  }
-  if (best_cpu < 0) {
+  const Plan plan = PlanEviction(query, *want, context.now);
+  if (plan.cpu < 0) {
     ++rejected_;
     return false;
   }
 
-  for (TxnId id : best_plan) {
-    // The sink calls back OnQueryFinished, releasing the victim's demand.
+  // The sink calls back OnQueryFinished, releasing the victim's demand; that
+  // edits entries_ and the lanes but never candidates_, so the plan stays
+  // valid throughout.
+  for (size_t i = plan.begin; i < plan.begin + plan.size; ++i) {
+    const TxnId id = candidates_[i].id;
     if (context.shed_sink->Shed(id)) {
       ++shed_;
     } else {
-      // The server no longer holds the victim in a queue (desync would be a
-      // bug upstream); drop our bookkeeping so the lane is freed anyway.
+      // The server refuses running and fused victims: they keep using CPU
+      // (or ride on a scan that does). Their demand is released anyway, so
+      // the newcomer is admitted against supply they still consume — a
+      // known over-admission, kept because fixing it changes schedules
+      // (ROADMAP item 5).
       Release(id);
     }
-    WEBDB_DCHECK(entries_.count(id) == 0);
+    WEBDB_DCHECK(FindEntry(id) == entries_.end());
   }
-  WEBDB_DCHECK(
-      FitsWith(best_cpu, want->deadline, want->demand, context.now,
-               kNoEvictions));
-  want->cpu = best_cpu;
-  Register(query, *want);
+  WEBDB_DCHECK(Fits(lanes_[static_cast<size_t>(plan.cpu)], want->deadline,
+                    want->demand, context.now));
+  want->cpu = plan.cpu;
+  Register(*want);
   return true;
 }
 
@@ -306,17 +321,16 @@ void DbfAdmission::OnQueryFinished(const Query& query, SimTime now) {
 }
 
 DbfAdmission::Placement DbfAdmission::PlacementOf(TxnId id) const {
-  const auto it = entries_.find(id);
+  const auto it = FindEntry(id);
   WEBDB_CHECK(it != entries_.end());
-  return Placement{it->second.cpu, it->second.deadline, it->second.demand};
+  return Placement{it->cpu, it->deadline, it->demand};
 }
 
 SimDuration DbfAdmission::QueuedDemand(int32_t cpu) const {
   WEBDB_CHECK(cpu >= 0 && cpu < num_cpus_);
   SimDuration total = 0;
-  for (const auto& [deadline, demand] : demand_[static_cast<size_t>(cpu)]) {
-    (void)deadline;
-    total += demand;
+  for (const Node& node : lanes_[static_cast<size_t>(cpu)]) {
+    total += node.demand;
   }
   return total;
 }
@@ -325,10 +339,12 @@ bool DbfAdmission::DemandFits(int32_t cpu, SimTime from_deadline,
                               SimTime now) const {
   WEBDB_CHECK(cpu >= 0 && cpu < num_cpus_);
   double cum = 0.0;
-  for (const auto& [t, d] : demand_[static_cast<size_t>(cpu)]) {
-    cum += static_cast<double>(d);
-    if (t < from_deadline) continue;
-    if (cum > static_cast<double>(t - now) * supply_factor_) return false;
+  for (const Node& node : lanes_[static_cast<size_t>(cpu)]) {
+    cum += static_cast<double>(node.demand);
+    if (node.deadline < from_deadline) continue;
+    if (cum > static_cast<double>(node.deadline - now) * supply_factor_) {
+      return false;
+    }
   }
   return true;
 }
@@ -338,26 +354,37 @@ void DbfAdmission::AuditInvariants(SimTime now) const {
   // modulo nodes dropped by PruneExpired (those only ever shrink a lane).
   std::vector<std::map<SimTime, SimDuration>> rebuilt(
       static_cast<size_t>(num_cpus_));
-  for (const auto& [id, entry] : entries_) {
-    (void)id;
+  TxnId previous_id = 0;
+  for (const Entry& entry : entries_) {
+    WEBDB_AUDIT_THAT(audit::Invariant::kAdmissionConservation,
+                     entry.id > previous_id,
+                     "dbf entries not strictly ascending by txn id");
+    previous_id = entry.id;
     WEBDB_AUDIT_THAT(audit::Invariant::kAdmissionConservation,
                      entry.cpu >= 0 && entry.cpu < num_cpus_,
                      "dbf entry on unknown cpu lane");
     WEBDB_AUDIT_THAT(audit::Invariant::kAdmissionConservation,
-                     entry.demand > 0 && entry.query != nullptr,
+                     entry.demand > 0 && entry.query != nullptr &&
+                         entry.query->id == entry.id,
                      "dbf entry with empty demand or dangling query");
     rebuilt[static_cast<size_t>(entry.cpu)][entry.deadline] += entry.demand;
   }
   for (int32_t cpu = 0; cpu < num_cpus_; ++cpu) {
-    for (const auto& [t, d] : demand_[static_cast<size_t>(cpu)]) {
-      const auto& lane = rebuilt[static_cast<size_t>(cpu)];
-      const auto it = lane.find(t);
+    const Lane& lane = lanes_[static_cast<size_t>(cpu)];
+    const auto& expected = rebuilt[static_cast<size_t>(cpu)];
+    for (size_t i = 0; i < lane.size(); ++i) {
+      const Node& node = lane[i];
+      WEBDB_AUDIT_THAT(audit::Invariant::kAdmissionConservation,
+                       i == 0 || lane[i - 1].deadline < node.deadline,
+                       "dbf lane not strictly ascending by deadline");
+      const auto it = expected.find(node.deadline);
       // Pruning is lazy (runs at the next Admit), so a node may outlive its
       // deadline here — but never its entries.
       (void)now;
-      WEBDB_AUDIT_THAT(audit::Invariant::kAdmissionConservation,
-                       it != lane.end() && it->second == d && d > 0,
-                       "dbf demand node does not match tracked entries");
+      WEBDB_AUDIT_THAT(
+          audit::Invariant::kAdmissionConservation,
+          it != expected.end() && it->second == node.demand && node.demand > 0,
+          "dbf demand node does not match tracked entries");
     }
   }
 }

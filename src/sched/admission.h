@@ -22,8 +22,6 @@
 #define WEBDB_SCHED_ADMISSION_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -161,25 +159,6 @@ class ExpectedProfitAdmission final : public AdmissionController {
   int64_t rejected_ = 0;
 };
 
-// Ranks queued work for eviction; lower Worth is shed first.
-class ShedPolicy {
- public:
-  virtual ~ShedPolicy() = default;
-  virtual std::string Name() const = 0;
-  // Value of keeping `query` queued at `now`.
-  virtual double Worth(const Query& query, SimTime now) const = 0;
-};
-
-// Default policy: residual expected profit assuming immediate dispatch —
-// the QoS profit still reachable given the time already spent waiting, plus
-// the QoD potential (which survives a missed deadline under QoS-Independent
-// contracts).
-class ExpectedProfitShedPolicy final : public ShedPolicy {
- public:
-  std::string Name() const override { return "expected-profit"; }
-  double Worth(const Query& query, SimTime now) const override;
-};
-
 // Demand-bound-function admission (see the file comment). Each of the
 // server's CPUs is a demand lane holding nodes keyed by absolute deadline
 // (arrival + rt_max); a node's supply at time t is (t - now) *
@@ -189,10 +168,14 @@ class ExpectedProfitShedPolicy final : public ShedPolicy {
 // are best-effort: admitted without demand accounting.
 //
 // When no lane fits, the controller plans the cheapest eviction set per
-// lane — queued queries whose tier-adjusted worth (ShedPolicy::Worth /
+// lane — queued queries whose tier-adjusted worth (Worth /
 // admission_weight) is strictly below the incoming query's — and commits
 // the plan through the context's ShedSink only if it actually frees enough
 // supply; otherwise the incoming query is rejected and nothing is shed.
+//
+// Lanes, tracked entries and the planner's buffers are flat vectors that
+// keep their capacity, so Admit and OnQueryFinished allocate nothing once
+// the buffers have grown to the standing load (DESIGN.md §11).
 class DbfAdmission final : public AdmissionController {
  public:
   struct Options {
@@ -203,15 +186,12 @@ class DbfAdmission final : public AdmissionController {
     // < 1 reserves headroom for updates and scheduling overhead.
     double supply_factor = 1.0;
     TenantSet tenants;
-    // Eviction ranking; null selects ExpectedProfitShedPolicy.
-    std::unique_ptr<ShedPolicy> shed_policy;
   };
 
   // Note: admitted queries are tracked by pointer until OnQueryFinished;
   // the caller must keep them at stable addresses (the server's txn pools
   // do).
   explicit DbfAdmission(Options options);
-  ~DbfAdmission() override;
 
   std::string Name() const override { return "dbf"; }
   bool Admit(const Query& query, const AdmissionContext& context) override;
@@ -228,7 +208,7 @@ class DbfAdmission final : public AdmissionController {
     SimTime deadline = 0;
     SimDuration demand = 0;  // weighted
   };
-  bool IsTracked(TxnId id) const { return entries_.count(id) != 0; }
+  bool IsTracked(TxnId id) const { return FindEntry(id) != entries_.end(); }
   Placement PlacementOf(TxnId id) const;
 
   // Total weighted demand currently registered on `cpu`.
@@ -241,24 +221,57 @@ class DbfAdmission final : public AdmissionController {
 
   int32_t num_cpus() const { return num_cpus_; }
   const TenantSet& tenants() const { return tenants_; }
-  const ShedPolicy& shed_policy() const { return *shed_policy_; }
 
  private:
+  // Summed weighted demand promised at one absolute deadline.
+  struct Node {
+    SimTime deadline = 0;
+    SimDuration demand = 0;
+  };
+  // Deadline-sorted nodes of one CPU lane; at most one node per deadline.
+  using Lane = std::vector<Node>;
+
   struct Entry {
+    TxnId id = 0;
     int32_t cpu = -1;
     SimTime deadline = 0;
     SimDuration demand = 0;
     const Query* query = nullptr;
   };
 
+  // A queued query the planner may evict for the incoming one.
+  struct Candidate {
+    double worth = 0.0;  // tier-adjusted
+    TxnId id = 0;
+    int32_t cpu = -1;
+    SimTime deadline = 0;
+    SimDuration demand = 0;
+  };
+
+  // Victims to shed: candidates_[begin, begin + size), all on lane `cpu`;
+  // cpu is -1 when no lane can be made to fit.
+  struct Plan {
+    int32_t cpu = -1;
+    size_t begin = 0;
+    size_t size = 0;
+  };
+
+  // Eviction ranking, lower is shed first: residual expected profit
+  // assuming immediate dispatch — the QoS profit still reachable given the
+  // time already spent waiting, plus the QoD potential (which survives a
+  // missed deadline under QoS-Independent contracts).
+  static double Worth(const Query& query, SimTime now);
+
   // Weighted demand of `query` at `now`, or nullopt for best-effort
   // (no-deadline) queries.
   std::optional<Entry> DemandOf(const Query& query, SimTime now) const;
-  // Feasibility of adding (deadline, demand) to `cpu` at `now`, with the
-  // demand in `excluded` (TxnIds planned for eviction) ignored.
-  bool FitsWith(int32_t cpu, SimTime deadline, SimDuration demand,
-                SimTime now, const std::vector<TxnId>& excluded) const;
-  void Register(const Query& query, const Entry& entry);
+  // Feasibility of adding (deadline, demand) to `lane` at `now`.
+  bool Fits(const Lane& lane, SimTime deadline, SimDuration demand,
+            SimTime now) const;
+  // The cheapest eviction plan that fits `want` (the demand of `query`).
+  Plan PlanEviction(const Query& query, const Entry& want, SimTime now);
+  std::vector<Entry>::const_iterator FindEntry(TxnId id) const;
+  void Register(const Entry& entry);
   void Release(TxnId id);
   // Drop demand nodes whose deadline has passed; their queries either
   // already missed QoS (commit with QoD only) or will be lifetime-dropped,
@@ -268,12 +281,15 @@ class DbfAdmission final : public AdmissionController {
   int32_t num_cpus_;
   double supply_factor_;
   TenantSet tenants_;
-  std::unique_ptr<ShedPolicy> shed_policy_;
 
-  // deadline -> summed weighted demand, one map per CPU lane. std::map so
-  // iteration order (ascending deadline) is deterministic.
-  std::vector<std::map<SimTime, SimDuration>> demand_;
-  std::map<TxnId, Entry> entries_;
+  std::vector<Lane> lanes_;  // indexed by CPU
+  // Tracked queries, ascending by TxnId. Ids grow with submission, so
+  // Register appends.
+  std::vector<Entry> entries_;
+  // Planner buffers, reused across Admit calls: the eviction candidates
+  // sorted by (cpu, worth, id), and one lane's demand minus the plan so far.
+  std::vector<Candidate> candidates_;
+  Lane residual_;
 
   int64_t rejected_ = 0;
   int64_t shed_ = 0;

@@ -9,13 +9,20 @@
 //                   rejected + shed, for every CPU count and every seed;
 //   * determinism:  the same sweep is bit-identical at --jobs 1, 2 and 4,
 //                   and a rerun of any single point lands on the same
-//                   end-state hash.
+//                   end-state hash;
+//   * equivalence:  DbfAdmission's flat lanes and residual planner make
+//                   exactly the decisions of the std::map reference in
+//                   dbf_map_reference.h, step by step.
 
+#include <iterator>
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dbf_map_reference.h"
 #include "exp/experiment.h"
 #include "exp/overload_scenarios.h"
 #include "exp/sweep_runner.h"
@@ -162,6 +169,169 @@ TEST(DbfAdmissionPropertyTest, AdmittedDemandNeverExceedsSupply) {
     EXPECT_GT(rejected, 0) << "round " << round
                            << " never saturated a lane; property vacuous";
   }
+}
+
+// The ShedSink of one controller in a differential pair: records every
+// victim it is offered, in order, and refuses the ones the harness marks as
+// running or fused — exactly what the server does — so both controllers see
+// identical answers.
+class RecordingShedSink final : public ShedSink {
+ public:
+  RecordingShedSink(AdmissionController* controller,
+                    const std::map<TxnId, Query*>* live,
+                    const std::set<TxnId>* unsheddable)
+      : controller_(controller), live_(live), unsheddable_(unsheddable) {}
+
+  bool Shed(TxnId id) override {
+    offered.push_back(id);
+    if (unsheddable_->contains(id)) return false;
+    // Mirror the server: release the controller's demand for the victim.
+    controller_->OnQueryFinished(*live_->at(id), now);
+    return true;
+  }
+
+  std::vector<TxnId> offered;
+  SimTime now = 0;
+
+ private:
+  AdmissionController* controller_;
+  const std::map<TxnId, Query*>* live_;
+  const std::set<TxnId>* unsheddable_;
+};
+
+// Differential oracle for the eviction planner: DbfAdmission and the
+// std::map reference are driven with the same bursts and must agree after
+// every step on admit/reject, the victim sequence, every placement, every
+// lane's demand and both counters. The bursts are built to hit the planner's
+// tie cases: QoS/QoD maxima come from small sets under step contracts, so
+// many queued queries share a worth and lanes tie on plan cost; arrivals
+// share instants and rt_max values, so they share deadline nodes; quiet gaps
+// longer than every rt_max leave tracked queries whose nodes were pruned;
+// and the sink refuses running/fused victims.
+TEST(DbfAdmissionPropertyTest, FlatPlannerMatchesMapReference) {
+  const TenantSet tenants = *TenantSet::Parse("free:4,premium:1");
+  const double kQosMax[] = {2.0, 5.0, 10.0, 20.0};
+  const double kQodMax[] = {0.0, 1.0, 4.0};
+  const int64_t kRtMaxMs[] = {10, 20, 30};
+  int64_t shed = 0;
+  int64_t refused = 0;
+  int64_t late_victims = 0;
+  int64_t rejected = 0;
+  for (uint64_t round = 0; round < 16; ++round) {
+    Rng rng(DeriveSeed(0xD1FFDBF, round));
+    const int32_t cpus = 1 + static_cast<int32_t>(round % 4);
+    const double supply_factor = (round / 4) % 2 == 0 ? 1.0 : 0.8;
+    DbfAdmission::Options options;
+    options.num_cpus = cpus;
+    options.supply_factor = supply_factor;
+    options.tenants = tenants;
+    DbfAdmission flat(std::move(options));
+    MapDbfReference reference(cpus, supply_factor, tenants);
+
+    TxnPool pool;
+    // Admitted deadline-bearing queries that have not finished, with the
+    // deadline their demand was booked at.
+    std::map<TxnId, Query*> live;
+    std::map<TxnId, SimTime> deadline_of;
+    std::set<TxnId> unsheddable;  // running or fused
+    RecordingShedSink flat_sink(&flat, &live, &unsheddable);
+    RecordingShedSink reference_sink(&reference, &live, &unsheddable);
+    AdmissionContext flat_context;
+    flat_context.num_cpus = cpus;
+    flat_context.shed_sink = &flat_sink;
+    AdmissionContext reference_context = flat_context;
+    reference_context.shed_sink = &reference_sink;
+
+    SimTime now = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::string where = "round " + std::to_string(round) + " step " +
+                                std::to_string(step) + " (" +
+                                std::to_string(cpus) + " CPUs)";
+      now += rng.Bernoulli(0.06) ? Millis(rng.UniformInt(35, 60))
+                                 : Millis(rng.UniformInt(0, 1));
+      const SimDuration service = Millis(2 * rng.UniformInt(1, 5));
+      const SimDuration rt_max = Millis(kRtMaxMs[rng.UniformInt(0, 2)]);
+      Query* query = pool.NewQuery(now, service, kQosMax[rng.UniformInt(0, 3)],
+                                   kQodMax[rng.UniformInt(0, 2)], rt_max);
+      query->tenant = rng.Bernoulli(0.5) ? 0 : 1;
+      const bool best_effort = rng.Bernoulli(0.05);
+      if (best_effort) query->qc = QualityContract();
+
+      flat_sink.offered.clear();
+      reference_sink.offered.clear();
+      flat_sink.now = reference_sink.now = now;
+      flat_context.now = reference_context.now = now;
+      const bool admitted = flat.Admit(*query, flat_context);
+      ASSERT_EQ(admitted, reference.Admit(*query, reference_context)) << where;
+      ASSERT_EQ(flat_sink.offered, reference_sink.offered) << where;
+      ASSERT_EQ(flat.RejectedCount(), reference.RejectedCount()) << where;
+      ASSERT_EQ(flat.ShedCount(), reference.ShedCount()) << where;
+      if (!admitted) ++rejected;
+      for (TxnId victim : flat_sink.offered) {
+        if (deadline_of.at(victim) <= now) ++late_victims;
+        if (unsheddable.contains(victim)) {
+          ++refused;  // still running: its release comes later, a no-op
+        } else {
+          ++shed;
+          live.erase(victim);
+          deadline_of.erase(victim);
+        }
+      }
+      if (admitted && !best_effort) {
+        live[query->id] = query;
+        deadline_of[query->id] = now + rt_max;
+      }
+
+      ASSERT_EQ(flat.TrackedCount(), reference.TrackedCount()) << where;
+      for (const auto& [id, tracked] : live) {
+        (void)tracked;
+        ASSERT_EQ(flat.IsTracked(id), reference.IsTracked(id)) << where;
+        if (!flat.IsTracked(id)) continue;
+        const DbfAdmission::Placement got = flat.PlacementOf(id);
+        const DbfAdmission::Placement want = reference.PlacementOf(id);
+        ASSERT_EQ(got.cpu, want.cpu) << where << " txn " << id;
+        ASSERT_EQ(got.deadline, want.deadline) << where << " txn " << id;
+        ASSERT_EQ(got.demand, want.demand) << where << " txn " << id;
+      }
+      for (int32_t cpu = 0; cpu < cpus; ++cpu) {
+        ASSERT_EQ(flat.QueuedDemand(cpu), reference.QueuedDemand(cpu))
+            << where << " lane " << cpu;
+      }
+      flat.AuditInvariants(now);
+
+      // A queued query starts running (or joins a fused scan): from now on
+      // the sink refuses to shed it, and its remaining work shrinks.
+      if (!live.empty() && rng.Bernoulli(0.25)) {
+        auto it = live.begin();
+        std::advance(it, rng.UniformInt(0, static_cast<int64_t>(live.size()) -
+                                               1));
+        if (unsheddable.insert(it->first).second) {
+          Query* running = it->second;
+          running->remaining =
+              Millis(rng.UniformInt(0, running->remaining / Millis(1)));
+        }
+      }
+      // Some queries finish: commits release demand in both controllers.
+      if (!live.empty() && rng.Bernoulli(0.2)) {
+        const int64_t finishing = rng.UniformInt(1, 3);
+        for (int64_t k = 0; k < finishing && !live.empty(); ++k) {
+          auto it = live.begin();
+          std::advance(it, rng.UniformInt(
+                               0, static_cast<int64_t>(live.size()) - 1));
+          flat.OnQueryFinished(*it->second, now);
+          reference.OnQueryFinished(*it->second, now);
+          unsheddable.erase(it->first);
+          deadline_of.erase(it->first);
+          live.erase(it);
+        }
+      }
+    }
+  }
+  // Every branch the oracle exists for must actually have been taken.
+  EXPECT_GT(shed, 0);
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(late_victims, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // Random overload traces through the full server: the shed-conservation

@@ -344,6 +344,18 @@ TEST(DbfAdmissionTest, SpreadsDemandAcrossCpuLanes) {
   EXPECT_FALSE(controller.Admit(*overflow, context));
 }
 
+// The lane count is checked in every build type: a one-lane controller on a
+// 4-CPU server would otherwise book every query onto one lane and admit
+// against a quarter of the supply.
+TEST(DbfAdmissionDeathTest, LaneCountMustMatchServerCpus) {
+  TxnPool pool;
+  DbfAdmission controller(DbfAdmission::Options{});  // one lane
+  AdmissionContext context;
+  context.num_cpus = 4;
+  Query* q = pool.NewQuery(0, Millis(10), 10.0, 0.0, Millis(30));
+  EXPECT_DEATH(controller.Admit(*q, context), "num_cpus");
+}
+
 TEST(ServerAdmissionTest, RejectedQueriesNeverRun) {
   Database db(2);
   FifoScheduler sched;

@@ -1,5 +1,7 @@
 #include "qc/quality_contract.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace webdb {
@@ -12,6 +14,25 @@ TEST(QualityContractTest, DefaultIsZeroContract) {
   EXPECT_DOUBLE_EQ(qc.total_max(), 0.0);
   const auto eval = qc.Evaluate(Millis(1), 0.0);
   EXPECT_DOUBLE_EQ(eval.Total(), 0.0);
+}
+
+TEST(QualityContractTest, DefaultContractsShareOneNonOwnedZeroFunction) {
+  const QualityContract qc;
+  const QualityContract other;
+  const std::vector<QualityContract> copies(2, qc);
+  const QualityContract::Evaluation eval = qc.Evaluate(Millis(7), 3.0);
+  EXPECT_EQ(eval.qos, 0.0);
+  EXPECT_EQ(eval.qod, 0.0);
+  EXPECT_EQ(qc.rt_max(), 0);
+  // Both dimensions, every default contract and every copy point at the
+  // same function object...
+  EXPECT_EQ(&qc.qos_fn(), &qc.qod_fn());
+  EXPECT_EQ(&qc.qos_fn(), &other.qos_fn());
+  EXPECT_EQ(&copies[1].qod_fn(), &qc.qos_fn());
+  EXPECT_EQ(&qc.qos_fn(), SharedZeroProfitFunction().get());
+  // ...held without a control block: nothing was allocated for it and no
+  // reference count is shared between threads.
+  EXPECT_EQ(SharedZeroProfitFunction().use_count(), 0);
 }
 
 TEST(QualityContractTest, StepContractFigure2) {
