@@ -170,13 +170,14 @@ void BM_FusionCollectCandidates(benchmark::State& state) {
     query.state = TxnState::kQueued;
     query.type = QueryType::kAggregation;
     query.items = {1, 2, 3};
+    query.fusion_signature = FusionIndex::Signature(query);
     index.Insert(&query);
   }
   std::vector<TxnId> members;
   members.reserve(static_cast<size_t>(n));
   for (auto _ : state) {
     members.clear();
-    index.CollectCandidates(queries[0], /*subset=*/true, n, &members);
+    index.CollectCandidates(queries[0], n, &members);
     benchmark::DoNotOptimize(members.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

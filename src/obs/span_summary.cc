@@ -151,6 +151,11 @@ SpanSummary SummarizeSpans(std::vector<TraceEvent> events) {
         // its (group) commit still counts as queue wait, so the anchor
         // stays put.
         break;
+      case TraceEventType::kCacheHit:
+        // Answered from the result cache at submit: the kCommit that
+        // follows at the same instant settles it, with zero queue wait and
+        // zero service.
+        break;
     }
   }
 

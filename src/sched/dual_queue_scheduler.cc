@@ -13,8 +13,11 @@ DualQueueScheduler::DualQueueScheduler(Options options)
     name_ = options_.name;
   } else {
     name_ = options_.high_side == TxnKind::kUpdate ? "UH" : "QH";
-    name_ += "(" + ToString(options_.query_policy) + "/" +
-             ToString(options_.update_policy) + ")";
+    name_ += "(";
+    name_ += ToString(options_.query_policy);
+    name_ += "/";
+    name_ += ToString(options_.update_policy);
+    name_ += ")";
   }
 }
 

@@ -109,6 +109,10 @@ Query* WebDatabaseServer::SubmitQuery(QueryType type,
   query.items = std::move(items);
   query.qc = std::move(qc);
   query.tenant = tenant;
+  if (config_.fusion.enabled &&
+      static_cast<int>(query.items.size()) <= kMaxFusionItems) {
+    query.fusion_signature = FusionIndex::Signature(query);
+  }
   first_arrival_ = std::min(first_arrival_, query.arrival);
 
   ++metrics_.queries_submitted;
@@ -575,11 +579,7 @@ void WebDatabaseServer::CancelLifetimeEvent(Query& query) {
 void WebDatabaseServer::MaybeIndexForFusion(Query& query) {
   if (!config_.fusion.enabled) return;
   if (query.state != TxnState::kQueued) return;
-  if (query.items.empty() ||
-      static_cast<int>(query.items.size()) >
-          config_.fusion.max_leader_items) {
-    return;
-  }
+  if (static_cast<int>(query.items.size()) > kMaxFusionItems) return;
   // Preempt-resumed queries carry progress and (under 2PL-HP) locks;
   // fusing one would discard real work or attach a lock holder. Only fresh
   // arrivals and clean restarts are candidates.
@@ -598,9 +598,7 @@ void WebDatabaseServer::UnindexForFusion(Query& query) {
 
 void WebDatabaseServer::AttachFusionMembers(Query& leader) {
   if (!config_.fusion.enabled || fusion_index_.Size() == 0) return;
-  if (leader.items.empty() ||
-      static_cast<int>(leader.items.size()) >
-          config_.fusion.max_leader_items ||
+  if (static_cast<int>(leader.items.size()) > kMaxFusionItems ||
       EffectiveFusionDomain(leader) < 0) {
     return;
   }
@@ -608,16 +606,15 @@ void WebDatabaseServer::AttachFusionMembers(Query& leader) {
   const int carried = group_it == fusion_groups_.end()
                           ? 0
                           : static_cast<int>(group_it->second.size());
-  std::vector<TxnId> joined;
-  fusion_index_.CollectCandidates(leader, config_.fusion.subset_fusion,
-                                  config_.fusion.max_group_size - carried,
-                                  &joined);
-  if (joined.empty()) return;
+  fusion_joined_.clear();
+  fusion_index_.CollectCandidates(leader, kMaxFusionGroupSize - carried,
+                                  &fusion_joined_);
+  if (fusion_joined_.empty()) return;
   if (group_it == fusion_groups_.end()) {
     group_it = fusion_groups_.emplace(leader.id, std::vector<TxnId>()).first;
     ++metrics_.fusion_groups;
   }
-  for (TxnId id : joined) {
+  for (TxnId id : fusion_joined_) {
     Query& member = QueryFor(id);
     WEBDB_CHECK(member.state == TxnState::kQueued && id != leader.id);
     UnindexForFusion(member);
@@ -702,16 +699,12 @@ int WebDatabaseServer::EffectiveFusionDomain(const Query& query) const {
 
 bool WebDatabaseServer::TryServeFromCache(Query& query) {
   if (!config_.fusion.enabled || !config_.fusion.result_cache) return false;
-  if (query.items.empty() ||
-      static_cast<int>(query.items.size()) >
-          config_.fusion.max_leader_items) {
-    return false;
-  }
+  if (static_cast<int>(query.items.size()) > kMaxFusionItems) return false;
   // Same domain gate as queue fusion: a shape that could never fuse (e.g.
   // cross-shard without rendezvous) is never cache-served either.
   if (EffectiveFusionDomain(query) < 0) return false;
   const FusionResultCache::Entry* entry =
-      result_cache_.Lookup(query, config_.fusion.subset_fusion, sim_->Now());
+      result_cache_.Lookup(query, sim_->Now());
   if (entry == nullptr) return false;
   // Zero scan cost: the producing scan's CPU demand was charged once, at
   // its own commit. The answer's age is what this query pays — CommitQuery
@@ -730,11 +723,7 @@ bool WebDatabaseServer::TryServeFromCache(Query& query) {
 void WebDatabaseServer::MaybeFillResultCache(Query& query) {
   if (!config_.fusion.enabled || !config_.fusion.result_cache) return;
   if (config_.fusion.cache_ttl <= 0) return;
-  if (query.items.empty() ||
-      static_cast<int>(query.items.size()) >
-          config_.fusion.max_leader_items) {
-    return;
-  }
+  if (static_cast<int>(query.items.size()) > kMaxFusionItems) return;
   const int domain = EffectiveFusionDomain(query);
   if (domain < 0) return;
   std::shared_ptr<const FusionResult> result = query.fused_result;
@@ -1077,6 +1066,19 @@ void WebDatabaseServer::AuditInvariants() const {
     WEBDB_AUDIT_THAT(Invariant::kFusionGroup,
                      metrics_.queries_fused <= metrics_.queries_committed,
                      "more fused settlements than commits");
+    // The index and the cache key on the signature SubmitQuery stored;
+    // re-derive it so a path that forgot to set it fails here.
+    if (config_.fusion.enabled) {
+      for (const Query& query : queries_) {
+        if (static_cast<int>(query.items.size()) > kMaxFusionItems) continue;
+        WEBDB_AUDIT_THAT(Invariant::kFusionGroup,
+                         query.fusion_signature ==
+                             FusionIndex::Signature(query),
+                         "query " + std::to_string(query.id) +
+                             " carries a stale fusion signature");
+      }
+    }
+    fusion_index_.AuditConsistency();
   }
 
   // --- fused-result cache conservation (DESIGN.md §14) ---------------------
@@ -1118,8 +1120,10 @@ void WebDatabaseServer::AuditInvariants() const {
     WEBDB_AUDIT_THAT(Invariant::kFusionCache,
                      metrics_.cache_fills >= result_cache_.Size(),
                      "more live cache entries than fills");
-    for (const auto& [signature, entry] : result_cache_.EntriesForAudit()) {
-      const std::string which = "cache entry " + std::to_string(signature);
+    result_cache_.AuditConsistency();
+    result_cache_.ForEachEntry([&](const FusionResultCache::Entry& entry) {
+      const std::string which =
+          "cache entry " + std::to_string(entry.signature);
       const Query& source = self->QueryFor(entry.source);
       WEBDB_AUDIT_THAT(Invariant::kFusionCache,
                        source.state == TxnState::kCommitted &&
@@ -1147,7 +1151,7 @@ void WebDatabaseServer::AuditInvariants() const {
             which + " outlived an update to item " +
                 std::to_string(entry.sorted_items[i]));
       }
-    }
+    });
   }
 
   // --- rendezvous groups (cross-shard fusion, DESIGN.md §14) ---------------

@@ -257,6 +257,8 @@ class WebDatabaseServer : private ShedSink {
   // live groups keyed by leader id (std::map: the auditor walks it).
   FusionIndex fusion_index_;
   std::map<TxnId, std::vector<TxnId>> fusion_groups_;
+  // AttachFusionMembers' candidate buffer; keeps its capacity.
+  std::vector<TxnId> fusion_joined_;
   // Short-TTL cache of committed scan results (DESIGN.md §14). Entries do
   // not hold resources, so a non-empty cache never blocks quiescence.
   FusionResultCache result_cache_;

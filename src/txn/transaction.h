@@ -133,6 +133,11 @@ struct Query : Transaction {
   // for queries that never fused.
   TxnId fused_into = 0;
   std::shared_ptr<const FusionResult> fused_result;
+  // FNV-1a fusion signature over (service class, sorted items), computed
+  // once at submission when fusion is on and the query is within the
+  // fusion item bound (FusionIndex::Signature); 0 otherwise. The fusion
+  // index and the result cache key on it.
+  uint64_t fusion_signature = 0;
 
   // Fused-result cache (DESIGN.md §14). Non-zero iff this query was
   // answered from the cache at submit time: `cache_source` is the committed

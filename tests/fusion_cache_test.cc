@@ -42,12 +42,14 @@ Query MakeIndexQuery(uint64_t index, QueryType type,
   query.state = TxnState::kQueued;
   query.type = type;
   query.items = std::move(items);
+  query.fusion_signature = FusionIndex::Signature(query);
   return query;
 }
 
 TEST(FusionIndexTest, RemoveIsIdempotentOnBothBucketTables) {
   FusionIndex index;
-  // A subset joiner occupies both exact_ and single_; a scan only exact_.
+  // A subset joiner sits in its signature bucket and its item row; a scan
+  // only in its bucket.
   Query lookup = MakeIndexQuery(1, QueryType::kLookup, {3});
   Query scan = MakeIndexQuery(2, QueryType::kAggregation, {1, 2, 3});
   index.Insert(&lookup);
@@ -72,7 +74,7 @@ TEST(FusionIndexTest, RemoveOfNeverIndexedQueryIsANoOp) {
   Query indexed = MakeIndexQuery(1, QueryType::kLookup, {5});
   Query stranger = MakeIndexQuery(2, QueryType::kLookup, {5});
   index.Insert(&indexed);
-  // Same signature and same single_ bucket as `indexed`, but never
+  // Same signature and same item row as `indexed`, but never
   // inserted: Remove must leave the indexed twin untouched.
   index.Remove(stranger);
   EXPECT_EQ(index.Size(), 1);
@@ -106,8 +108,7 @@ TEST(FusionIndexTest, DuplicateLeaderItemsCollectEachLookupOnce) {
   const Query leader =
       MakeIndexQuery(1, QueryType::kAggregation, {7, 7, 7, 7});
   std::vector<TxnId> members;
-  index.CollectCandidates(leader, /*subset=*/true, /*max_members=*/64,
-                          &members);
+  index.CollectCandidates(leader, /*max_members=*/64, &members);
   EXPECT_EQ(members, std::vector<TxnId>(
                          {lookups[0].id, lookups[1].id, lookups[2].id}));
 }
@@ -130,15 +131,13 @@ TEST(FusionIndexTest, CollectStaysExactPastTheLinearScanThreshold) {
 
   const Query leader = MakeIndexQuery(1, QueryType::kAggregation, {1, 2, 3});
   std::vector<TxnId> members;
-  index.CollectCandidates(leader, /*subset=*/true, /*max_members=*/64,
-                          &members);
+  index.CollectCandidates(leader, /*max_members=*/64, &members);
   ASSERT_EQ(members.size(), 41u);
   for (size_t i = 0; i < 40; ++i) EXPECT_EQ(members[i], twins[i].id);
   EXPECT_EQ(members[40], lookup.id);
 
   members.clear();
-  index.CollectCandidates(leader, /*subset=*/true, /*max_members=*/25,
-                          &members);
+  index.CollectCandidates(leader, /*max_members=*/25, &members);
   ASSERT_EQ(members.size(), 25u);
   for (size_t i = 0; i < 25; ++i) EXPECT_EQ(members[i], twins[i].id);
 }

@@ -134,7 +134,8 @@ TEST_F(MulticoreTest, MidRunAuditHoldsAtFourCpus) {
     server.RunUntil(t);
     if (rng.Bernoulli(0.3)) {
       server.SubmitQuery(QueryType::kLookup,
-                         {rng.UniformInt(0, trace_->num_items - 1)},
+                         {static_cast<ItemId>(
+                             rng.UniformInt(0, trace_->num_items - 1))},
                          QualityContract(), Micros(rng.UniformInt(50, 500)));
     } else {
       server.SubmitUpdate(rng.UniformInt(0, trace_->num_items - 1), 1.0,

@@ -8,6 +8,7 @@
 
 #include "core/quts_scheduler.h"
 #include "exp/experiment.h"
+#include "exp/overload_scenarios.h"
 #include "exp/scheduler_factory.h"
 #include "obs/span_summary.h"
 #include "sched/fifo_scheduler.h"
@@ -144,6 +145,46 @@ TEST(TracerTest, ServerTraceMatchesMetrics) {
   const std::string report = RenderSpanSummary(summary);
   EXPECT_NE(report.find("queries"), std::string::npos);
   EXPECT_NE(report.find("updates"), std::string::npos);
+}
+
+// Shared execution in the lifecycle stream: on a market-open overload trace
+// with fusion and the result cache on, cache hits (kCacheHit, then kCommit
+// at the same instant) and fused members (kFuse, then kCommit at the
+// leader's commit) must both be counted as committed queries by the span
+// summary, exactly as the server counts them.
+TEST(TracerTest, SpanSummaryCountsCacheHitsAndFusedMembers) {
+  OverloadScenarioConfig config;
+  config.seed = 21;
+  config.scale = 10.0;
+  config.duration = Seconds(2);
+  config.num_stocks = 64;
+  config.query_rate = 300.0;
+  config.update_rate = 60.0;
+  const Trace trace = MakeOverloadTrace(OverloadScenario::kMarketOpen, config);
+  SchedulerSpec spec;
+  spec.kind = SchedulerKind::kQuts;
+  spec.topology.num_cpus = 4;
+  Tracer tracer;
+  ExperimentOptions options;
+  options.qc = BalancedProfile(QcShape::kStep);
+  options.server.tracer = &tracer;
+  options.server.fusion.enabled = true;
+  options.server.fusion.result_cache = true;
+  const ExperimentResult result = RunExperiment(trace, spec, options);
+
+  int64_t cache_hits = 0;
+  for (const TraceEvent& event : tracer.events()) {
+    if (event.type == TraceEventType::kCacheHit) ++cache_hits;
+  }
+  ASSERT_GT(cache_hits, 0) << "trace produced no cache hits";
+  EXPECT_EQ(cache_hits, result.queries_cache_hits);
+  ASSERT_GT(result.queries_fused, 0) << "trace produced no fused members";
+
+  const SpanSummary summary = SummarizeSpans(tracer.events());
+  EXPECT_EQ(summary.queries.committed, result.queries_committed);
+  EXPECT_EQ(summary.updates.committed, result.updates_applied);
+  EXPECT_EQ(summary.queries.dropped, result.queries_dropped);
+  EXPECT_EQ(summary.queries.response_ms.count, result.queries_committed);
 }
 
 // The summarize-spans pipeline consumes the serialized form too: JSONL out,
