@@ -58,6 +58,40 @@ void BM_SimulatorScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleAndRun)->Arg(1000)->Arg(100000);
 
+// Transaction-shaped event churn, the server's per-query pattern: each of 64
+// in-flight transactions schedules a completion and a far-future lifetime
+// deadline, and the completion cancels the deadline and starts the next
+// transaction. Items are resolved events (one fired and one cancelled per
+// transaction), so this is the event core's events/sec on the workload an
+// event-list change (e.g. heap vs calendar queue) must be timed on.
+// tests/hot_path_test.cc holds the same workload to exact counts.
+struct TxnChurn {
+  Simulator sim;
+  int64_t remaining = 0;
+
+  void Start() {
+    --remaining;
+    const SimTime now = sim.Now();
+    const EventId deadline = sim.ScheduleAt(now + 1000, [] {});
+    sim.ScheduleAt(now + 10, [this, deadline] {
+      sim.Cancel(deadline);
+      if (remaining > 0) Start();
+    });
+  }
+};
+
+void BM_SimulatorTxnChurn(benchmark::State& state) {
+  TxnChurn churn;  // one simulator across iterations keeps the arena warm
+  for (auto _ : state) {
+    churn.remaining = state.range(0);
+    for (int i = 0; i < 64 && churn.remaining > 0; ++i) churn.Start();
+    churn.sim.Run();
+    benchmark::DoNotOptimize(churn.sim.NumExecuted());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
+}
+BENCHMARK(BM_SimulatorTxnChurn)->Arg(100000);
+
 void BM_TxnQueuePushPop(benchmark::State& state) {
   std::vector<Query> queries(static_cast<size_t>(state.range(0)));
   for (size_t i = 0; i < queries.size(); ++i) {

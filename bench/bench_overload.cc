@@ -5,7 +5,8 @@
 // than a static queue cap — shedding the right work must beat shedding none
 // and shedding blindly — and (2) shared execution (DESIGN.md §13) must buy
 // at least 1.2x profit per CPU-busy-second over the unfused server on the
-// same trace. Emits BENCH_overload.json for the perf-smoke job.
+// same trace. Emits BENCH_overload.json; the overload_smoke ctest checks a
+// --smoke run against the committed copy.
 //
 // Usage: bench_overload [--jobs N] [--smoke] [--audit-hash] [--out <path>]
 //   --smoke   shorter traces, 10x scenarios only (the CI configuration)
@@ -176,8 +177,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<AdmissionKind> admissions = {
-      AdmissionKind::kAdmitAll, AdmissionKind::kQueueCap,
-      AdmissionKind::kExpectedProfit, AdmissionKind::kDbf};
+      AdmissionKind::kAdmitAll, AdmissionKind::kQueueCap, AdmissionKind::kDbf};
 
   std::vector<RowKey> keys;
   std::vector<SweepRunner::Point> points;
@@ -255,10 +255,8 @@ int main(int argc, char** argv) {
   };
   const Row* admit_all = headline_row(AdmissionKind::kAdmitAll);
   const Row* queue_cap = headline_row(AdmissionKind::kQueueCap);
-  const Row* expected = headline_row(AdmissionKind::kExpectedProfit);
   const Row* dbf = headline_row(AdmissionKind::kDbf);
-  WEBDB_CHECK(admit_all != nullptr && queue_cap != nullptr &&
-              expected != nullptr && dbf != nullptr);
+  WEBDB_CHECK(admit_all != nullptr && queue_cap != nullptr && dbf != nullptr);
   const bool dbf_beats_admit_all = dbf->profit > admit_all->profit;
   const bool dbf_beats_queue_cap = dbf->profit > queue_cap->profit;
 
@@ -323,8 +321,8 @@ int main(int argc, char** argv) {
   // The fusion headline (DESIGN.md §13): the same flash crowd at 4 CPUs,
   // admit-all so nothing but shared execution differs, fused vs unfused.
   // The gated figure is profit per CPU-busy-second — fusion must buy more
-  // profit per cycle actually spent, not just shift work around. The CI
-  // floor is 1.2x (tools/check_hotpath_regression.py --min-fusion-gain).
+  // profit per cycle actually spent, not just shift work around. The
+  // floor is 1.2x (tools/check_overload.py --min-fusion-gain).
   struct FusionPoint {
     double profit = 0.0;
     double cpu_busy_s = 0.0;
@@ -449,7 +447,6 @@ int main(int argc, char** argv) {
                "    \"scenario\": \"market-open\", \"scale\": 10, \"cpus\": 4,\n"
                "    \"admit_all_profit\": %.3f,\n"
                "    \"queue_cap_profit\": %.3f,\n"
-               "    \"expected_profit_profit\": %.3f,\n"
                "    \"dbf_profit\": %.3f,\n"
                "    \"dbf_beats_admit_all\": %s,\n"
                "    \"dbf_beats_queue_cap\": %s\n"
@@ -478,8 +475,8 @@ int main(int argc, char** argv) {
                "    \"rerun_identical\": %s\n"
                "  },\n"
                "  \"tenants\": {\"spec\": \"%s\", \"rows\": [\n",
-               admit_all->profit, queue_cap->profit, expected->profit,
-               dbf->profit, dbf_beats_admit_all ? "true" : "false",
+               admit_all->profit, queue_cap->profit, dbf->profit,
+               dbf_beats_admit_all ? "true" : "false",
                dbf_beats_queue_cap ? "true" : "false", fusion_off.profit,
                fusion_on.profit, fusion_off.cpu_busy_s, fusion_on.cpu_busy_s,
                fusion_off.profit_per_cpu_s, fusion_on.profit_per_cpu_s,
@@ -516,8 +513,8 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::fprintf(stderr, "[bench_overload] wrote %s\n", flags.out.c_str());
 
-  // The headline comparison gates in CI via the JSON booleans
-  // (tools/check_hotpath_regression.py --overload), not the exit code, so a
-  // regression still uploads the full report for diagnosis.
+  // The headline comparison gates through the JSON booleans
+  // (tools/check_overload.py, run by the overload_smoke ctest), not the exit
+  // code, so a regression still writes the full report for diagnosis.
   return 0;
 }

@@ -1,6 +1,5 @@
 #include "exp/experiment.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 
@@ -109,12 +108,6 @@ ExperimentResult RunExperiment(const Trace& trace, CpuSetScheduler* scheduler,
       row.profit = counters.profit->value();
       result.tenants.push_back(std::move(row));
     }
-  }
-  for (const ServerMetrics::QueueSample& sample : metrics.queue_samples) {
-    result.peak_queued_queries =
-        std::max(result.peak_queued_queries, sample.queries);
-    result.peak_queued_updates =
-        std::max(result.peak_queued_updates, sample.updates);
   }
 
   result.qos_gained_per_s = BucketSums(ledger.qos_gained_series());

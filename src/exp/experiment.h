@@ -90,9 +90,6 @@ struct ExperimentResult {
   // Total CPU busy time across the pool, in milliseconds — denominator of
   // profit-per-CPU-second (the fusion headline).
   double cpu_busy_ms = 0.0;
-  // Peak sampled queue depths (0 unless queue_sample_period was set).
-  int64_t peak_queued_queries = 0;
-  int64_t peak_queued_updates = 0;
 
   // Per-tenant outcomes, sorted by tenant id (empty unless the run was
   // tenant-aware, i.e. ServerConfig::tenants was set).

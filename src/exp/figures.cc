@@ -1,14 +1,11 @@
 #include "exp/figures.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/rho.h"
-#include "sched/admission.h"
-
 #include "util/logging.h"
 #include "util/stats.h"
 
@@ -80,6 +77,18 @@ std::vector<double> Sum(const std::vector<double>& a,
   return out;
 }
 
+// Largest value the gauge `name` took across the periodic snapshots.
+int64_t PeakOf(const std::vector<MetricSnapshot>& series,
+               const std::string& name) {
+  double peak = 0.0;
+  for (const MetricSnapshot& snapshot : series) {
+    if (const double* value = snapshot.Find(name)) {
+      peak = std::max(peak, *value);
+    }
+  }
+  return static_cast<int64_t>(peak);
+}
+
 }  // namespace
 
 std::vector<double> Table4QodShares() {
@@ -122,7 +131,7 @@ std::vector<TradeoffRow> RunFigure1(const Trace& trace,
     // The naive Figure 1 policies predate QCs: no lifetime drops, #uu
     // staleness, every query runs to completion.
     point.options.server.lifetime_factor = 0.0;
-    point.options.server.queue_sample_period = Seconds(1);
+    point.options.server.metric_snapshot_period = Seconds(1);
     points.push_back(point);
   }
   const std::vector<ExperimentResult> results =
@@ -133,8 +142,10 @@ std::vector<TradeoffRow> RunFigure1(const Trace& trace,
     row.policy = ToString(kinds[i]);
     row.avg_response_ms = results[i].avg_response_ms;
     row.avg_staleness_uu = results[i].avg_staleness;
-    row.peak_queued_queries = results[i].peak_queued_queries;
-    row.peak_queued_updates = results[i].peak_queued_updates;
+    row.peak_queued_queries =
+        PeakOf(results[i].registry_series, "scheduler.queue.queries");
+    row.peak_queued_updates =
+        PeakOf(results[i].registry_series, "scheduler.queue.updates");
     rows.push_back(row);
   }
   return rows;
@@ -420,26 +431,21 @@ std::vector<AblationRow> RunSlicingAblation(const Trace& trace,
 std::vector<AblationRow> RunAdmissionAblation(const Trace& trace,
                                               uint64_t qc_seed,
                                               const SweepConfig& sweep) {
-  struct Variant {
-    std::string name;
-    std::unique_ptr<AdmissionController> controller;  // null = admit all
+  // Each run builds its own controller from the spec: controllers are
+  // stateful, so none is shared between points.
+  const std::pair<const char*, AdmissionKind> variants[] = {
+      {"admit-all", AdmissionKind::kAdmitAll},
+      {"queue-cap(64)", AdmissionKind::kQueueCap},
+      {"dbf", AdmissionKind::kDbf},
   };
-  // Controllers are stateful (rejection counters), so each one belongs to
-  // exactly one point; the vector outlives the sweep.
-  std::vector<Variant> variants;
-  variants.push_back(Variant{"admit-all", nullptr});
-  variants.push_back(Variant{"queue-cap(64)",
-                             std::make_unique<QueueCapAdmission>(64)});
-  variants.push_back(
-      Variant{"expected-profit",
-              std::make_unique<ExpectedProfitAdmission>(Millis(7), 1.0)});
   std::vector<SweepRunner::Point> points;
-  for (Variant& variant : variants) {
+  for (const auto& [name, kind] : variants) {
     SweepRunner::Point point;
     point.trace = &trace;
     point.spec.kind = SchedulerKind::kQuts;
+    point.spec.admission.kind = kind;
+    point.spec.admission.queue_cap = 64;
     point.options.server = QcServerConfig();
-    point.options.server.admission = variant.controller.get();
     point.options.qc_seed = qc_seed;
     point.options.qc = BalancedProfile(QcShape::kStep);
     points.push_back(point);
@@ -448,7 +454,7 @@ std::vector<AblationRow> RunAdmissionAblation(const Trace& trace,
       SweepRunner(sweep).RunPoints(points);
   std::vector<AblationRow> rows;
   for (size_t i = 0; i < results.size(); ++i) {
-    rows.push_back(AblationRow{variants[i].name, results[i].qos_pct,
+    rows.push_back(AblationRow{variants[i].first, results[i].qos_pct,
                                results[i].qod_pct, results[i].total_pct});
   }
   return rows;

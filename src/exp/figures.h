@@ -47,8 +47,9 @@ struct TradeoffRow {
   std::string policy;
   double avg_response_ms = 0.0;
   double avg_staleness_uu = 0.0;
-  // Peak queue depths (1-second sampling) — not in the paper's figure, but
-  // they show where the response-time orders of magnitude come from.
+  // Peak queue depths over the 1-second metric snapshots (the
+  // scheduler.queue.* gauges) — not in the paper's figure, but they show
+  // where the response-time orders of magnitude come from.
   int64_t peak_queued_queries = 0;
   int64_t peak_queued_updates = 0;
 };
@@ -159,8 +160,8 @@ std::vector<std::pair<double, double>> RunAlphaSensitivity(
 std::vector<AblationRow> RunSlicingAblation(
     const Trace& trace, uint64_t qc_seed = 7,
     const SweepConfig& sweep = SweepConfig());
-// A5: admission control under overload (admit-all vs queue-cap vs
-// expected-profit shedding), QUTS scheduler.
+// A5: admission control under overload (admit-all vs queue-cap vs dbf
+// demand-bound admission with shedding), QUTS scheduler.
 std::vector<AblationRow> RunAdmissionAblation(
     const Trace& trace, uint64_t qc_seed = 7,
     const SweepConfig& sweep = SweepConfig());

@@ -76,8 +76,6 @@ std::string ToString(AdmissionKind kind) {
       return "admit-all";
     case AdmissionKind::kQueueCap:
       return "queue-cap";
-    case AdmissionKind::kExpectedProfit:
-      return "expected-profit";
     case AdmissionKind::kDbf:
       return "dbf";
   }
@@ -89,7 +87,6 @@ namespace {
 constexpr AdmissionKind kAllAdmissionKinds[] = {
     AdmissionKind::kAdmitAll,
     AdmissionKind::kQueueCap,
-    AdmissionKind::kExpectedProfit,
     AdmissionKind::kDbf,
 };
 
@@ -116,9 +113,6 @@ std::unique_ptr<AdmissionController> MakeAdmission(const AdmissionSpec& spec,
       return nullptr;
     case AdmissionKind::kQueueCap:
       return std::make_unique<QueueCapAdmission>(spec.queue_cap);
-    case AdmissionKind::kExpectedProfit:
-      return std::make_unique<ExpectedProfitAdmission>(spec.typical_exec,
-                                                       spec.min_worth);
     case AdmissionKind::kDbf: {
       DbfAdmission::Options options;
       options.num_cpus = num_cpus;

@@ -12,7 +12,6 @@
 #include "core/quts_scheduler.h"
 #include "sched/admission.h"
 #include "sched/cpu_set_scheduler.h"
-#include "util/time.h"
 
 namespace webdb {
 
@@ -43,15 +42,14 @@ struct SchedulerTopology {
 
 // Admission-control policy, declaratively (mirrors SchedulerKind).
 enum class AdmissionKind {
-  kAdmitAll,         // the paper's implicit policy (no controller at all)
-  kQueueCap,         // reject past a fixed queue depth
-  kExpectedProfit,   // reject when residual expected profit is too small
-  kDbf,              // demand-bound-function feasibility + load shedding
+  kAdmitAll,  // the paper's implicit policy (no controller at all)
+  kQueueCap,  // reject past a fixed queue depth
+  kDbf,       // demand-bound-function feasibility + load shedding
 };
 
 std::string ToString(AdmissionKind kind);
 
-// Parses "admit-all", "queue-cap", "expected-profit", "dbf".
+// Parses "admit-all", "queue-cap", "dbf".
 std::optional<AdmissionKind> AdmissionKindFromName(const std::string& name);
 std::vector<std::string> ValidAdmissionNames();
 
@@ -61,9 +59,6 @@ struct AdmissionSpec {
   AdmissionKind kind = AdmissionKind::kAdmitAll;
   // kQueueCap: maximum queued queries.
   int64_t queue_cap = 256;
-  // kExpectedProfit: assumed per-query CPU demand and worth floor.
-  SimDuration typical_exec = Millis(7);
-  double min_worth = 1.0;
   // kDbf: fraction of per-CPU wall-clock supply handed to queries.
   double supply_factor = 1.0;
   // kDbf: tenant tiers (demand weights). Default: one tier, weight 1.

@@ -73,7 +73,7 @@ std::string TenantSet::Spec() const {
   return out;
 }
 
-// --- Static policies -------------------------------------------------------
+// --- QueueCapAdmission -----------------------------------------------------
 
 QueueCapAdmission::QueueCapAdmission(int64_t max_queued_queries)
     : max_queued_(max_queued_queries) {
@@ -82,26 +82,6 @@ QueueCapAdmission::QueueCapAdmission(int64_t max_queued_queries)
 
 bool QueueCapAdmission::Admit(const Query&, const AdmissionContext& context) {
   if (context.queued_queries < max_queued_) return true;
-  ++rejected_;
-  return false;
-}
-
-ExpectedProfitAdmission::ExpectedProfitAdmission(SimDuration typical_exec,
-                                                 double min_worth)
-    : typical_exec_(typical_exec), min_worth_(min_worth) {
-  WEBDB_CHECK(typical_exec > 0);
-  WEBDB_CHECK(min_worth >= 0.0);
-}
-
-bool ExpectedProfitAdmission::Admit(const Query& query,
-                                    const AdmissionContext& context) {
-  const int64_t backlog = context.queued_queries + (context.cpu_busy ? 1 : 0);
-  const SimDuration predicted_wait = backlog * typical_exec_;
-  const SimDuration predicted_rt = predicted_wait + query.service_time;
-  const double reachable_qos = query.qc.QosProfit(predicted_rt);
-  // QoD potential survives a missed deadline under QoS-Independent QCs.
-  const double residual = reachable_qos + query.qc.qod_max();
-  if (residual >= min_worth_) return true;
   ++rejected_;
   return false;
 }

@@ -7,13 +7,13 @@
 // rejected queries are dropped immediately, earn nothing, and still count
 // against the submitted maximum (rejecting is not free).
 //
-// Beyond the static policies (queue cap, expected profit), DbfAdmission
-// implements demand-bound-function feasibility in the style of per-worker
-// deadline accounting in serverless runtimes: each CPU lane keeps demand
-// nodes keyed by absolute deadline, a query is admitted only when its
-// weighted CPU demand fits the remaining supply on some lane at every
-// deadline at or after its own, and when it does not fit, the controller may
-// shed already-queued lower-worth work through the server's ShedSink.
+// Beyond the static queue cap, DbfAdmission implements demand-bound-function
+// feasibility in the style of per-worker deadline accounting in serverless
+// runtimes: each CPU lane keeps demand nodes keyed by absolute deadline, a
+// query is admitted only when its weighted CPU demand fits the remaining
+// supply on some lane at every deadline at or after its own, and when it
+// does not fit, the controller may shed already-queued lower-worth work
+// through the server's ShedSink.
 // Tenant tiers make the squeeze deliberately unfair: a tier's
 // admission_weight multiplies the demand it is charged, so heavy-weight
 // (free) tenants run out of room first while premium traffic still fits.
@@ -86,7 +86,6 @@ struct AdmissionContext {
   SimTime now = 0;
   int64_t queued_queries = 0;
   int64_t queued_updates = 0;
-  bool cpu_busy = false;
   // Number of CPUs in the server's processor pool.
   int32_t num_cpus = 1;
   // Eviction hook for load-shedding controllers; may be null (then
@@ -134,28 +133,6 @@ class QueueCapAdmission final : public AdmissionController {
 
  private:
   int64_t max_queued_;
-  int64_t rejected_ = 0;
-};
-
-// Rejects queries whose QoS profit is already unreachable at submission
-// time: the backlog-predicted response time exceeds rt_max and the
-// remaining (QoD-only) potential is below `min_worth`. Uses a conservative
-// wait estimate of (queued_queries + cpu_busy) * typical_exec — the
-// in-flight transaction counts toward the backlog too.
-class ExpectedProfitAdmission final : public AdmissionController {
- public:
-  // `typical_exec` is the assumed per-query CPU demand used for the wait
-  // estimate; `min_worth` the smallest residual profit worth queueing for.
-  ExpectedProfitAdmission(SimDuration typical_exec, double min_worth);
-
-  std::string Name() const override { return "expected-profit"; }
-  bool Admit(const Query& query, const AdmissionContext& context) override;
-
-  int64_t RejectedCount() const { return rejected_; }
-
- private:
-  SimDuration typical_exec_;
-  double min_worth_;
   int64_t rejected_ = 0;
 };
 

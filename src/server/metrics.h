@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "obs/metric_registry.h"
 #include "txn/transaction.h"
@@ -76,15 +75,6 @@ class ServerMetrics {
   Histogram& response_time_hist;  // server.response_time_ms (registry-owned)
   // Arrival -> applied lag of committed updates (the freshness pipeline).
   RunningStats update_latency_ms;
-
-  // Periodic queue-depth samples (only when ServerConfig::
-  // queue_sample_period > 0).
-  struct QueueSample {
-    SimTime time;
-    int64_t queries;
-    int64_t updates;
-  };
-  std::vector<QueueSample> queue_samples;
 
   // --- per-tenant lifecycle accounting (registry-backed, lazily created) ----
   // Registered under "server.tenant<k>.*" on first use of tenant k, so

@@ -54,10 +54,6 @@ struct ServerConfig {
   // data conflicts are ignored, queries may read mid-update values.
   bool enable_2plhp = true;
 
-  // When positive, the server samples the scheduler's queue depths at this
-  // period while work is in flight (ServerMetrics::queue_samples).
-  SimDuration queue_sample_period = 0;
-
   // When positive, the server records a full metric-registry snapshot
   // (server.* / txn.* counters plus the scheduler's ExportStats) at this
   // period while work is in flight (MetricRegistry::series). This is the

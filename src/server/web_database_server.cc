@@ -59,8 +59,8 @@ void WebDatabaseServer::ReserveCapacity(size_t num_queries,
                                         size_t num_updates) {
   queries_.reserve(num_queries);
   updates_.reserve(num_updates);
-  // Pending events: per CPU a completion and a wake-up, the sampling
-  // timers, and one lifetime deadline per query still in flight (cancelled
+  // Pending events: per CPU a completion and a wake-up, the snapshot
+  // timer, and one lifetime deadline per query still in flight (cancelled
   // at commit and shed). Queries dominate; num_queries bounds them even in
   // a run where nothing commits.
   sim_->Reserve(num_queries + 16);
@@ -129,8 +129,8 @@ Query* WebDatabaseServer::SubmitQuery(QueryType type,
   if (TryServeFromCache(query)) return &query;
   if (config_.admission != nullptr) {
     AdmissionContext context{sim_->Now(), sched_->NumQueuedQueries(),
-                             sched_->NumQueuedUpdates(), cpus_.AnyBusy(),
-                             cpus_.num_cpus(), this};
+                             sched_->NumQueuedUpdates(), cpus_.num_cpus(),
+                             this};
     // Admit may shed queued work through the ShedSink before answering.
     if (!config_.admission->Admit(query, context)) {
       query.state = TxnState::kRejected;
@@ -275,28 +275,9 @@ void WebDatabaseServer::OnSchedulingEvent() {
 
   in_scheduling_event_ = false;
   ScheduleWake();
-  MaybeStartSampling();
   MaybeStartSnapshots();
   if constexpr (audit::kEnabled) {
     if ((++audit_tick_ & kAuditStrideMask) == 0) AuditInvariants();
-  }
-}
-
-void WebDatabaseServer::MaybeStartSampling() {
-  if (config_.queue_sample_period <= 0 || sampling_active_) return;
-  if (!cpus_.AnyBusy() && !sched_->HasWork()) return;
-  sampling_active_ = true;
-  sim_->ScheduleAfter(config_.queue_sample_period, [this] { SampleQueues(); });
-}
-
-void WebDatabaseServer::SampleQueues() {
-  metrics_.queue_samples.push_back(ServerMetrics::QueueSample{
-      sim_->Now(), sched_->NumQueuedQueries(), sched_->NumQueuedUpdates()});
-  if (cpus_.AnyBusy() || sched_->HasWork()) {
-    sim_->ScheduleAfter(config_.queue_sample_period,
-                       [this] { SampleQueues(); });
-  } else {
-    sampling_active_ = false;
   }
 }
 

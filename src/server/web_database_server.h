@@ -268,14 +268,11 @@ class WebDatabaseServer : private ShedSink {
   std::vector<EventId> wake_events_;
   std::vector<SimTime> wake_times_;
   bool in_scheduling_event_ = false;
-  bool sampling_active_ = false;
   bool snapshots_active_ = false;
   // Strides the O(n) AuditInvariants pass across scheduling events so audit
   // builds stay usable on full traces. Mutated only under WEBDB_AUDIT.
   mutable uint64_t audit_tick_ = 0;
 
-  void MaybeStartSampling();
-  void SampleQueues();
   void MaybeStartSnapshots();
   void SnapshotMetrics();
 

@@ -81,7 +81,8 @@ class Simulator {
   size_t NumPending() const { return heap_.size(); }
   uint64_t NumExecuted() const { return executed_; }
 
-  // Allocation / pool instrumentation for the hot-path benchmarks.
+  // Allocation / pool instrumentation, asserted exactly by the hot-path
+  // guards (tests/hot_path_test.cc) and reported by perfbench.
   struct Stats {
     uint64_t scheduled = 0;       // ScheduleAt calls
     uint64_t cancelled = 0;       // successful Cancels

@@ -33,66 +33,6 @@ TEST(QueueCapTest, RejectsBeyondCap) {
   EXPECT_EQ(controller.RejectedCount(), 2);
 }
 
-TEST(ExpectedProfitTest, AdmitsWhenDeadlineReachable) {
-  TxnPool pool;
-  ExpectedProfitAdmission controller(Millis(7), /*min_worth=*/1.0);
-  // rt_max 50ms, 3 queued * 7ms wait + 5ms exec = 26ms < 50ms: reachable.
-  Query* q = pool.NewQuery(0, Millis(5), 10.0, 0.0, Millis(50));
-  AdmissionContext context;
-  context.queued_queries = 3;
-  EXPECT_TRUE(controller.Admit(*q, context));
-}
-
-TEST(ExpectedProfitTest, RejectsWhenOnlyWorthlessResidualRemains) {
-  TxnPool pool;
-  ExpectedProfitAdmission controller(Millis(7), /*min_worth=*/1.0);
-  // Deep backlog: predicted 100*7 + 5 = 705ms >> 50ms, and qod_max = 0.
-  Query* q = pool.NewQuery(0, Millis(5), 10.0, 0.0, Millis(50));
-  AdmissionContext context;
-  context.queued_queries = 100;
-  EXPECT_FALSE(controller.Admit(*q, context));
-  EXPECT_EQ(controller.RejectedCount(), 1);
-}
-
-TEST(ExpectedProfitTest, QodPotentialKeepsQueryAdmitted) {
-  TxnPool pool;
-  ExpectedProfitAdmission controller(Millis(7), /*min_worth=*/1.0);
-  // Same hopeless deadline, but $10 of QoD is still on the table
-  // (QoS-Independent contracts pay for freshness even when late).
-  Query* q = pool.NewQuery(0, Millis(5), 10.0, 10.0, Millis(50));
-  AdmissionContext context;
-  context.queued_queries = 100;
-  EXPECT_TRUE(controller.Admit(*q, context));
-}
-
-TEST(ExpectedProfitTest, MinWorthBoundaryIsInclusive) {
-  TxnPool pool;
-  // qod_max = 3 is the only residual once the deadline is unreachable:
-  // min_worth == residual admits (>=), one epsilon above rejects.
-  Query* q = pool.NewQuery(0, Millis(5), 10.0, 3.0, Millis(50));
-  AdmissionContext context;
-  context.queued_queries = 100;
-  ExpectedProfitAdmission at_boundary(Millis(7), /*min_worth=*/3.0);
-  EXPECT_TRUE(at_boundary.Admit(*q, context));
-  ExpectedProfitAdmission above_boundary(Millis(7), /*min_worth=*/3.0 + 1e-9);
-  EXPECT_FALSE(above_boundary.Admit(*q, context));
-}
-
-TEST(ExpectedProfitTest, BusyCpuCountsTowardBacklog) {
-  TxnPool pool;
-  ExpectedProfitAdmission controller(Millis(10), /*min_worth=*/1.0);
-  // 4 queued * 10ms + 5ms exec = 45ms < 50ms: reachable while idle...
-  Query* q = pool.NewQuery(0, Millis(5), 10.0, 0.0, Millis(50));
-  AdmissionContext context;
-  context.queued_queries = 4;
-  context.cpu_busy = false;
-  EXPECT_TRUE(controller.Admit(*q, context));
-  // ...but the in-flight transaction tips it over: (4+1)*10 + 5 = 55ms.
-  context.cpu_busy = true;
-  EXPECT_FALSE(controller.Admit(*q, context));
-  EXPECT_EQ(controller.RejectedCount(), 1);
-}
-
 TEST(QueueCapTest, RejectedCountTracksMixedSequences) {
   TxnPool pool;
   QueueCapAdmission controller(2);

@@ -162,7 +162,7 @@ TEST_F(FiguresTest, AdmissionAblationCoversControllers) {
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].variant, "admit-all");
   EXPECT_EQ(rows[1].variant, "queue-cap(64)");
-  EXPECT_EQ(rows[2].variant, "expected-profit");
+  EXPECT_EQ(rows[2].variant, "dbf");
   for (const auto& row : rows) {
     EXPECT_GT(row.total_pct, 0.0);
     EXPECT_LE(row.total_pct, 1.0 + 1e-9);

@@ -14,44 +14,25 @@
 //
 // Allocation half: once a repeated workload has grown every pooled buffer,
 // indexing, collecting, filling, looking up and invalidating allocate
-// nothing (counted by a process-wide operator new, as bench_hotpath does).
+// nothing (counted by the process-wide operator new in alloc_counter.h, as
+// the event-core guards in hot_path_test.cc are).
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
-#include <new>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "db/database.h"
 #include "fusion_map_reference.h"
 #include "server/fusion.h"
 #include "server/signature_table.h"
 #include "util/rng.h"
-
-namespace {
-std::atomic<int64_t> g_allocations{0};
-// Out of line, so GCC does not pair an inlined `new` with a visible free()
-// and report -Wmismatched-new-delete.
-[[gnu::noinline]] void ReleaseBlock(void* p) noexcept { std::free(p); }
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { ReleaseBlock(p); }
-void operator delete[](void* p) noexcept { ReleaseBlock(p); }
-void operator delete(void* p, std::size_t) noexcept { ReleaseBlock(p); }
-void operator delete[](void* p, std::size_t) noexcept { ReleaseBlock(p); }
 
 namespace webdb {
 namespace {
@@ -502,9 +483,9 @@ TEST(FusionFlatAllocationTest, SteadyStateCallsAllocateNothing) {
   ASSERT_EQ(index.Size(), 0);
   ASSERT_GT(large_groups, 0) << "no group outgrew the linear scan";
   ASSERT_GT(hits, 0) << "no lookup hit the cache";
-  const int64_t before = g_allocations.load(std::memory_order_relaxed);
+  const int64_t before = AllocationCount();
   for (int i = 0; i < 3; ++i) cycle();
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
+  EXPECT_EQ(AllocationCount() - before, 0);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Multi-core server model: the CPU-set protocol and multi-CPU QUTS's
-// determinism (one shard per CPU, work stealing, shard placement). The
-// one-CPU schedules are pinned by tests/regression_test.cc.
+// determinism (one shard per CPU, work stealing, shard placement), and the
+// pinned 1/2/4-CPU schedules of a flash-crowd trace. The one-CPU paper
+// schedules are pinned by tests/regression_test.cc.
 
+#include <ios>
 #include <set>
 #include <vector>
 
@@ -79,6 +81,39 @@ TEST_F(MulticoreTest, CpuCountsProduceDistinctSchedules) {
         << cpus << " CPUs committed fewer queries than one";
   }
   EXPECT_EQ(hashes.size(), 3u) << "CPU counts collided on one schedule";
+}
+
+TEST_F(MulticoreTest, FlashCrowdSchedulesAndScalingPinned) {
+  // A short, heavily overloaded market open: the spike demand is several
+  // times one CPU, so extra CPUs turn directly into committed profit. The
+  // end-state hashes pin each schedule across commits, and the scaling
+  // floor is on profit itself, with no wall-clock term.
+  StockTraceConfig config = StockTraceConfig::Small(2024);
+  config.query_rate = 1000.0;
+  config.query_spike_gain = 6.0;
+  config.update_rate_start = 400.0;
+  config.update_rate_end = 300.0;
+  const Trace trace = GenerateStockTrace(config);
+  const struct {
+    int cpus;
+    uint64_t hash;
+  } pins[] = {
+      {1, 0xd8064cec3aa29caeULL},
+      {2, 0x0b164a40f4929cc2ULL},
+      {4, 0x33eb1a0a830c57afULL},
+  };
+  std::vector<double> profit;
+  for (const auto& pin : pins) {
+    SchedulerSpec spec;
+    spec.kind = SchedulerKind::kQuts;
+    spec.topology.num_cpus = pin.cpus;
+    const ExperimentResult result = RunExperiment(trace, spec, Options());
+    EXPECT_EQ(result.end_state_hash, pin.hash)
+        << pin.cpus << " CPUs: got " << std::hex << result.end_state_hash;
+    profit.push_back(result.qos_gained + result.qod_gained);
+  }
+  EXPECT_GE(profit[1], profit[0]);
+  EXPECT_GE(profit[2], 2.0 * profit[0]);
 }
 
 TEST_F(MulticoreTest, WorkStealingPinnedAgainstSeededTrace) {

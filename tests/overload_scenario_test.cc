@@ -72,7 +72,7 @@ class OverloadScenarioTest : public ::testing::Test {
     results_ = new std::vector<ExperimentResult>();
     const std::vector<AdmissionKind> admissions = {
         AdmissionKind::kAdmitAll, AdmissionKind::kQueueCap,
-        AdmissionKind::kExpectedProfit, AdmissionKind::kDbf};
+        AdmissionKind::kDbf};
     std::vector<SweepRunner::Point> points;
     const struct {
       size_t trace;

@@ -15,6 +15,7 @@
 #include "core/quts_scheduler.h"
 #include "db/database.h"
 #include "exp/scheduler_factory.h"
+#include "obs/metric_registry.h"
 #include "qc/qc_generator.h"
 #include "sched/dual_queue_scheduler.h"
 #include "sched/fifo_scheduler.h"
@@ -136,7 +137,7 @@ TEST_P(StressTest, InvariantsHoldWithDispatchOverheadAndSampling) {
   const auto [kind, seed] = GetParam();
   StressConfig cfg;
   cfg.server.dispatch_overhead = Micros(50);
-  cfg.server.queue_sample_period = Millis(10);
+  cfg.server.metric_snapshot_period = Millis(10);
   RunStress(kind, seed, cfg);
 }
 
@@ -207,19 +208,26 @@ TEST(QueueSamplingTest, SamplesRecordedWhileBusy) {
   FifoScheduler scheduler;
   Database db(8);
   ServerConfig config;
-  config.queue_sample_period = Millis(1);
+  config.metric_snapshot_period = Millis(1);
   WebDatabaseServer server(&db, &scheduler, config);
-  // 10 ms of queued work on distinct items -> ~10 samples.
+  // 10 ms of queued work on distinct items -> ~10 snapshots.
   for (int i = 0; i < 5; ++i) {
     server.SubmitUpdate(static_cast<ItemId>(i), i, Millis(2));
   }
   server.Run();
-  const auto& samples = server.metrics().queue_samples;
-  ASSERT_GE(samples.size(), 5u);
+  const std::vector<MetricSnapshot>& series =
+      server.metric_registry().series();
+  ASSERT_GE(series.size(), 5u);
   // Depth decreases monotonically as the FIFO drains.
-  for (size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_LE(samples[i].updates, samples[i - 1].updates);
-    EXPECT_EQ(samples[i].queries, 0);
+  auto depth = [&series](size_t i, const char* name) {
+    const double* value = series[i].Find(name);
+    EXPECT_NE(value, nullptr) << name;
+    return value == nullptr ? -1.0 : *value;
+  };
+  for (size_t i = 1; i < series.size(); ++i) {
+    EXPECT_LE(depth(i, "scheduler.queue.updates"),
+              depth(i - 1, "scheduler.queue.updates"));
+    EXPECT_EQ(depth(i, "scheduler.queue.queries"), 0.0);
   }
 }
 

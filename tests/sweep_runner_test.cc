@@ -32,8 +32,7 @@ std::string Serialize(const ExperimentResult& result) {
       << result.queries_dropped << '|' << result.queries_expired << '|'
       << result.query_restarts << '|' << result.updates_applied << '|'
       << result.updates_invalidated << '|' << result.update_restarts << '|'
-      << result.preemptions << '|' << result.peak_queued_queries << '|'
-      << result.peak_queued_updates;
+      << result.preemptions;
   for (double v : result.qos_gained_per_s) out << ',' << v;
   for (double v : result.qod_gained_per_s) out << ',' << v;
   for (double v : result.qos_max_per_s) out << ',' << v;
