@@ -146,10 +146,11 @@ void BM_LockManagerAcquireRelease(benchmark::State& state) {
   LockManager lm(8);
   const std::vector<ItemId> items = {1, 2, 3, 4, 5};
   const ItemId probe = 3;
+  std::vector<TxnId> conflicts;
   for (auto _ : state) {
     lm.Acquire(2, LockMode::kShared, items);
-    benchmark::DoNotOptimize(
-        lm.Conflicts(5, LockMode::kExclusive, std::span(&probe, 1)));
+    lm.Conflicts(5, LockMode::kExclusive, std::span(&probe, 1), &conflicts);
+    benchmark::DoNotOptimize(conflicts.data());
     lm.Release(2, items);
   }
 }
@@ -195,6 +196,7 @@ BENCHMARK(BM_EndToEndServerRun)
 // switchover at 16 collected members (src/server/fusion.cc).
 void BM_FusionCollectCandidates(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  static constexpr ItemId kItems[] = {1, 2, 3};
   std::vector<Query> queries(static_cast<size_t>(n));
   FusionIndex index;
   for (int i = 0; i < n; ++i) {
@@ -203,7 +205,7 @@ void BM_FusionCollectCandidates(benchmark::State& state) {
     query.kind = TxnKind::kQuery;
     query.state = TxnState::kQueued;
     query.type = QueryType::kAggregation;
-    query.items = {1, 2, 3};
+    query.items = kItems;
     query.fusion_signature = FusionIndex::Signature(query);
     index.Insert(&query);
   }

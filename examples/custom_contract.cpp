@@ -83,10 +83,6 @@ int main() {
   for (int i = 0; i < 40; ++i) {
     server.sim().ScheduleAt(Millis(3) * i, [&server, i] {
       server.SubmitUpdate(0, 100.0 + i, Millis(2));
-      if (i % 2 == 0) {
-        // Re-use the same contract for every query.
-        // (Contracts are cheap shared-immutable handles.)
-      }
     });
   }
   std::vector<const Query*> queries;

@@ -42,14 +42,13 @@ std::vector<ReplicaState> WebDatabaseCluster::SnapshotStates() const {
 }
 
 Query* WebDatabaseCluster::SubmitQuery(QueryType type,
-                                       std::vector<ItemId> items,
+                                       std::span<const ItemId> items,
                                        QualityContract qc,
                                        SimDuration exec_time) {
   const size_t pick = selector_.Select(qc, exec_time, SnapshotStates());
   Replica& replica = replicas_[pick];
   ++replica.routed;
-  return replica.server->SubmitQuery(type, std::move(items), std::move(qc),
-                                     exec_time);
+  return replica.server->SubmitQuery(type, items, std::move(qc), exec_time);
 }
 
 void WebDatabaseCluster::SubmitUpdate(ItemId item, double value,

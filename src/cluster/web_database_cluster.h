@@ -13,7 +13,10 @@
 #define WEBDB_CLUSTER_WEB_DATABASE_CLUSTER_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "cluster/replica_selector.h"
@@ -50,8 +53,14 @@ class WebDatabaseCluster {
 
   // Routes the query to one replica (per the routing policy) at the current
   // simulation time. Returns the created query on that replica.
-  Query* SubmitQuery(QueryType type, std::vector<ItemId> items,
+  Query* SubmitQuery(QueryType type, std::span<const ItemId> items,
                      QualityContract qc, SimDuration exec_time);
+  // Braced item lists, as in SubmitQuery(QueryType::kLookup, {0}, ...).
+  Query* SubmitQuery(QueryType type, std::initializer_list<ItemId> items,
+                     QualityContract qc, SimDuration exec_time) {
+    return SubmitQuery(type, std::span<const ItemId>(items), std::move(qc),
+                       exec_time);
+  }
 
   // Fans the update out to every replica (honoring per-replica delays).
   void SubmitUpdate(ItemId item, double value, SimDuration exec_time);

@@ -49,7 +49,7 @@ double ItemStaleness(const Database& db, ItemId id, StalenessMetric metric,
   return 0.0;
 }
 
-double QueryStaleness(const Database& db, const std::vector<ItemId>& items,
+double QueryStaleness(const Database& db, std::span<const ItemId> items,
                       StalenessMetric metric, StalenessCombiner combiner,
                       SimTime now) {
   if (items.empty()) return 0.0;

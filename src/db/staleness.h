@@ -8,8 +8,8 @@
 #ifndef WEBDB_DB_STALENESS_H_
 #define WEBDB_DB_STALENESS_H_
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "db/database.h"
 
@@ -44,7 +44,7 @@ double ItemStaleness(const Database& db, ItemId id, StalenessMetric metric,
                      SimTime now);
 
 // Combined staleness of a query over `items`. An empty item set is fresh.
-double QueryStaleness(const Database& db, const std::vector<ItemId>& items,
+double QueryStaleness(const Database& db, std::span<const ItemId> items,
                       StalenessMetric metric, StalenessCombiner combiner,
                       SimTime now);
 

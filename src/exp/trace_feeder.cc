@@ -48,6 +48,8 @@ void TraceFeeder::Pump() {
   while (next_query_ < trace_->queries.size() &&
          trace_->queries[next_query_].arrival <= now) {
     const QueryRecord& q = trace_->queries[next_query_++];
+    // The record's items go in as a view; the server copies them into its
+    // item arena.
     server_->SubmitQuery(q.type, q.items, assigner_(q), q.exec_time,
                          q.tenant);
   }

@@ -13,11 +13,6 @@ StepProfitFunction::StepProfitFunction(double max_profit, double cutoff)
   WEBDB_CHECK(cutoff > 0.0);
 }
 
-double StepProfitFunction::Profit(double x) const {
-  WEBDB_CHECK(x >= 0.0);
-  return x < cutoff_ ? max_profit_ : 0.0;
-}
-
 std::string StepProfitFunction::DebugString() const {
   std::ostringstream out;
   out << "step(max=$" << max_profit_ << ", cutoff=" << cutoff_ << ")";
@@ -28,11 +23,6 @@ LinearProfitFunction::LinearProfitFunction(double max_profit, double cutoff)
     : max_profit_(max_profit), cutoff_(cutoff) {
   WEBDB_CHECK(max_profit >= 0.0);
   WEBDB_CHECK(cutoff > 0.0);
-}
-
-double LinearProfitFunction::Profit(double x) const {
-  WEBDB_CHECK(x >= 0.0);
-  return x < cutoff_ ? max_profit_ * (1.0 - x / cutoff_) : 0.0;
 }
 
 std::string LinearProfitFunction::DebugString() const {

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace webdb {
 
 class ProfitFunction {
@@ -42,7 +44,12 @@ class StepProfitFunction final : public ProfitFunction {
   // Requires max_profit >= 0 and cutoff > 0.
   StepProfitFunction(double max_profit, double cutoff);
 
-  double Profit(double x) const override;
+  // Inline: a contract holds this shape by value and calls it directly
+  // (QualityContract), so evaluation follows no pointer.
+  double Profit(double x) const override {
+    WEBDB_CHECK(x >= 0.0);
+    return x < cutoff_ ? max_profit_ : 0.0;
+  }
   double MaxProfit() const override { return max_profit_; }
   double Cutoff() const override { return cutoff_; }
   std::string DebugString() const override;
@@ -58,7 +65,11 @@ class LinearProfitFunction final : public ProfitFunction {
   // Requires max_profit >= 0 and cutoff > 0.
   LinearProfitFunction(double max_profit, double cutoff);
 
-  double Profit(double x) const override;
+  // Inline for the same reason as StepProfitFunction::Profit.
+  double Profit(double x) const override {
+    WEBDB_CHECK(x >= 0.0);
+    return x < cutoff_ ? max_profit_ * (1.0 - x / cutoff_) : 0.0;
+  }
   double MaxProfit() const override { return max_profit_; }
   double Cutoff() const override { return cutoff_; }
   std::string DebugString() const override;

@@ -16,9 +16,8 @@ std::string ToString(QcCombination combination) {
 }
 
 QualityContract::QualityContract()
-    : qos_fn_(SharedZeroProfitFunction()),
-      qod_fn_(qos_fn_),
-      combination_(QcCombination::kQosIndependent) {}
+    : QualityContract(SharedZeroProfitFunction(), SharedZeroProfitFunction(),
+                      QcCombination::kQosIndependent) {}
 
 QualityContract::QualityContract(
     std::shared_ptr<const ProfitFunction> qos_fn,
@@ -26,8 +25,15 @@ QualityContract::QualityContract(
     : qos_fn_(std::move(qos_fn)),
       qod_fn_(std::move(qod_fn)),
       combination_(combination) {
-  WEBDB_CHECK(qos_fn_ != nullptr && qod_fn_ != nullptr);
+  WEBDB_CHECK(*std::get_if<kSharedFn>(&qos_fn_) != nullptr &&
+              *std::get_if<kSharedFn>(&qod_fn_) != nullptr);
 }
+
+QualityContract::QualityContract(ByValue, Function qos_fn, Function qod_fn,
+                                 QcCombination combination)
+    : qos_fn_(std::move(qos_fn)),
+      qod_fn_(std::move(qod_fn)),
+      combination_(combination) {}
 
 QualityContract QualityContract::Make(QcShape shape, double qos_max,
                                       SimDuration rt_max, double qod_max,
@@ -36,24 +42,12 @@ QualityContract QualityContract::Make(QcShape shape, double qos_max,
   WEBDB_CHECK(rt_max > 0);
   WEBDB_CHECK(uu_max > 0);
   const double rt_max_ms = ToMillis(rt_max);
-  std::shared_ptr<const ProfitFunction> qos, qod;
   if (shape == QcShape::kStep) {
-    qos = std::make_shared<StepProfitFunction>(qos_max, rt_max_ms);
-    qod = std::make_shared<StepProfitFunction>(qod_max, uu_max);
-  } else {
-    qos = std::make_shared<LinearProfitFunction>(qos_max, rt_max_ms);
-    qod = std::make_shared<LinearProfitFunction>(qod_max, uu_max);
+    return QualityContract(ByValue{}, StepProfitFunction(qos_max, rt_max_ms),
+                           StepProfitFunction(qod_max, uu_max), combination);
   }
-  return QualityContract(std::move(qos), std::move(qod), combination);
-}
-
-double QualityContract::QosProfit(SimDuration response_time) const {
-  WEBDB_CHECK(response_time >= 0);
-  return qos_fn_->Profit(ToMillis(response_time));
-}
-
-double QualityContract::QodProfit(double staleness) const {
-  return qod_fn_->Profit(staleness);
+  return QualityContract(ByValue{}, LinearProfitFunction(qos_max, rt_max_ms),
+                         LinearProfitFunction(qod_max, uu_max), combination);
 }
 
 QualityContract::Evaluation QualityContract::Evaluate(
@@ -67,14 +61,10 @@ QualityContract::Evaluation QualityContract::Evaluate(
   return eval;
 }
 
-SimDuration QualityContract::rt_max() const {
-  return static_cast<SimDuration>(qos_fn_->Cutoff() * 1000.0);
-}
-
 std::string QualityContract::DebugString() const {
   std::ostringstream out;
-  out << "QC{qos=" << qos_fn_->DebugString()
-      << ", qod=" << qod_fn_->DebugString() << ", " << ToString(combination_)
+  out << "QC{qos=" << qos_fn().DebugString()
+      << ", qod=" << qod_fn().DebugString() << ", " << ToString(combination_)
       << "}";
   return out.str();
 }

@@ -1,6 +1,7 @@
 #include "server/fusion.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -26,7 +27,7 @@ uint64_t MixU64(uint64_t hash, uint64_t value) {
 // A query's items, sorted, in a fixed stack buffer: every query that
 // reaches the fusion layer is within the item bound.
 struct SortedItems {
-  explicit SortedItems(const std::vector<ItemId>& items) : size(items.size()) {
+  explicit SortedItems(std::span<const ItemId> items) : size(items.size()) {
     WEBDB_CHECK(size <= static_cast<size_t>(kMaxFusionItems));
     std::copy(items.begin(), items.end(), buffer);
     std::sort(buffer, buffer + size);
@@ -38,7 +39,7 @@ struct SortedItems {
   size_t size;
 };
 
-bool SameMultiset(const std::vector<ItemId>& a, const std::vector<ItemId>& b) {
+bool SameMultiset(std::span<const ItemId> a, std::span<const ItemId> b) {
   if (a.size() != b.size()) return false;
   if (std::equal(a.begin(), a.end(), b.begin())) return true;
   const SortedItems sorted_a(a);
@@ -267,8 +268,7 @@ void FusionIndex::AuditConsistency() const {
 
 // --- FusionResultCache -------------------------------------------------------
 
-void FusionResultCache::Fill(const Query& query,
-                             std::shared_ptr<const FusionResult> result,
+void FusionResultCache::Fill(const Query& query, const FusionResult* result,
                              int domain, SimTime now, SimDuration ttl,
                              const Database& db) {
   WEBDB_CHECK(result != nullptr && !query.items.empty());
@@ -294,7 +294,7 @@ void FusionResultCache::Fill(const Query& query,
   Entry& entry = slot.entry;
   entry.source = query.id;
   entry.signature = sig;
-  entry.result = std::move(result);
+  entry.result = result;
   entry.service_class = ServiceClassOf(query.type);
   const SortedItems sorted(query.items);
   entry.sorted_items.assign(sorted.begin(), sorted.end());
@@ -385,7 +385,7 @@ void FusionResultCache::EraseSlot(int32_t slot_index) {
   }
   WEBDB_CHECK(slot_of_.Erase(slot.entry.signature));
   slot.live = false;
-  slot.entry.result.reset();
+  slot.entry.result = nullptr;
   free_slots_.push_back(slot_index);
 }
 

@@ -43,7 +43,6 @@
 #define WEBDB_SERVER_FUSION_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "server/signature_table.h"
@@ -152,7 +151,8 @@ class FusionResultCache {
     TxnId source = 0;
     // The producing scan's fusion signature: this entry's key.
     uint64_t signature = 0;
-    std::shared_ptr<const FusionResult> result;
+    // The scan's answer, owned by the server for its lifetime.
+    const FusionResult* result = nullptr;
     ServiceClass service_class = ServiceClass::kInteractive;
     std::vector<ItemId> sorted_items;
     // Fusion (or rendezvous) domain the producing scan belonged to.
@@ -169,8 +169,8 @@ class FusionResultCache {
   // Retains `result` for `query`'s shape until `now + ttl`, snapshotting
   // per-item update sequence numbers from `db`. Overwrites any entry with
   // the same signature (the newer commit is at least as fresh).
-  void Fill(const Query& query, std::shared_ptr<const FusionResult> result,
-            int domain, SimTime now, SimDuration ttl, const Database& db);
+  void Fill(const Query& query, const FusionResult* result, int domain,
+            SimTime now, SimDuration ttl, const Database& db);
 
   // Finds a live entry answering `query` at `now`: an exact shape match
   // first, else — when `query` is a single-item interactive lookup — the

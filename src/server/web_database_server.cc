@@ -88,7 +88,7 @@ Update& WebDatabaseServer::UpdateFor(TxnId id) {
 }
 
 Query* WebDatabaseServer::SubmitQuery(QueryType type,
-                                      std::vector<ItemId> items,
+                                      std::span<const ItemId> items,
                                       QualityContract qc,
                                       SimDuration exec_time, TenantId tenant) {
   WEBDB_CHECK(exec_time > 0);
@@ -106,7 +106,7 @@ Query* WebDatabaseServer::SubmitQuery(QueryType type,
   query.service_time = exec_time;
   query.remaining = exec_time;
   query.type = type;
-  query.items = std::move(items);
+  query.items = item_arena_.Copy(items);
   query.qc = std::move(qc);
   query.tenant = tenant;
   if (config_.fusion.enabled &&
@@ -327,8 +327,8 @@ void WebDatabaseServer::ResolveConflicts(Transaction* txn) {
   // idle-CPU fill defers dispatch against RUNNING holders (multi-core), so
   // a running loser can only appear here via a wake-up-driven dispatch race
   // and is aborted off its CPU before restarting.
-  for (TxnId holder_id :
-       locks_.Conflicts(txn->id, LockModeOf(*txn), LockSet(*txn))) {
+  locks_.Conflicts(txn->id, LockModeOf(*txn), LockSet(*txn), &conflicts_);
+  for (TxnId holder_id : conflicts_) {
     Transaction* holder = Lookup(holder_id);
     WEBDB_CHECK_MSG(holder->state == TxnState::kQueued ||
                         holder->state == TxnState::kRunning,
@@ -339,8 +339,8 @@ void WebDatabaseServer::ResolveConflicts(Transaction* txn) {
 }
 
 bool WebDatabaseServer::HasRunningConflict(Transaction* txn) {
-  for (TxnId holder_id :
-       locks_.Conflicts(txn->id, LockModeOf(*txn), LockSet(*txn))) {
+  locks_.Conflicts(txn->id, LockModeOf(*txn), LockSet(*txn), &conflicts_);
+  for (TxnId holder_id : conflicts_) {
     if (Lookup(holder_id)->state == TxnState::kRunning) return true;
   }
   return false;
@@ -612,17 +612,9 @@ void WebDatabaseServer::SettleFusionGroup(Query& leader) {
   if (it == fusion_groups_.end()) return;
   std::vector<TxnId> members = std::move(it->second);
   fusion_groups_.erase(it);
-  // Snapshot the scan's answer once; every waiter shares the immutable
-  // buffer (fused-result-mutation lint rule keeps aliases const).
-  FusionResult answer;
-  answer.leader = leader.id;
-  answer.items = leader.items;
-  answer.values.reserve(leader.items.size());
-  for (ItemId item : leader.items) {
-    answer.values.push_back(db_->Item(item).value);
-  }
-  answer.scan_complete = sim_->Now();
-  const auto result = std::make_shared<const FusionResult>(std::move(answer));
+  // Snapshot the scan's answer once; every waiter points at the same
+  // immutable slot (fused-result-mutation lint rule keeps aliases const).
+  const FusionResult* result = SnapshotResult(leader);
   leader.fused_result = result;
   for (TxnId id : members) {
     Query& member = QueryFor(id);
@@ -707,23 +699,29 @@ void WebDatabaseServer::MaybeFillResultCache(Query& query) {
   if (static_cast<int>(query.items.size()) > kMaxFusionItems) return;
   const int domain = EffectiveFusionDomain(query);
   if (domain < 0) return;
-  std::shared_ptr<const FusionResult> result = query.fused_result;
-  if (result == nullptr) {
-    // Cacheable solo commit: snapshot the answer exactly as a group settle
-    // would, without marking the query itself as fused.
-    FusionResult answer;
-    answer.leader = query.id;
-    answer.items = query.items;
-    answer.values.reserve(query.items.size());
-    for (ItemId item : query.items) {
-      answer.values.push_back(db_->Item(item).value);
-    }
-    answer.scan_complete = sim_->Now();
-    result = std::make_shared<const FusionResult>(std::move(answer));
-  }
-  result_cache_.Fill(query, std::move(result), domain, sim_->Now(),
+  // A settled group's answer is cached as is. A cacheable solo commit
+  // snapshots its own, without marking the query itself as fused.
+  const FusionResult* result = query.fused_result != nullptr
+                                   ? query.fused_result
+                                   : SnapshotResult(query);
+  result_cache_.Fill(query, result, domain, sim_->Now(),
                      config_.fusion.cache_ttl, *db_);
   ++metrics_.cache_fills;
+}
+
+const FusionResult* WebDatabaseServer::SnapshotResult(const Query& query) {
+  const std::span<double> values = value_arena_.Allocate(query.items.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = db_->Item(query.items[i]).value;
+  }
+  // The producer fills its own slot before publishing it.
+  // lint:allow(fused-result-mutation)
+  FusionResult& result = fusion_results_.emplace_back();
+  result.leader = query.id;
+  result.items = query.items;
+  result.values = values;
+  result.scan_complete = sim_->Now();
+  return &result;
 }
 
 void WebDatabaseServer::ScheduleWake() {
@@ -1152,7 +1150,8 @@ void WebDatabaseServer::AuditInvariants() const {
       const int domain = EffectiveFusionDomain(leader);
       WEBDB_AUDIT_THAT(Invariant::kRendezvousGroup, domain >= 0,
                        who + " has no shareable domain");
-      std::vector<ItemId> leader_sorted = leader.items;
+      std::vector<ItemId> leader_sorted(leader.items.begin(),
+                                        leader.items.end());
       std::sort(leader_sorted.begin(), leader_sorted.end());
       for (TxnId member_id : members) {
         const Query& member = self->QueryFor(member_id);
@@ -1161,7 +1160,8 @@ void WebDatabaseServer::AuditInvariants() const {
             std::binary_search(leader_sorted.begin(), leader_sorted.end(),
                                member.items[0]);
         if (covered_lookup) continue;
-        std::vector<ItemId> member_sorted = member.items;
+        std::vector<ItemId> member_sorted(member.items.begin(),
+                                          member.items.end());
         std::sort(member_sorted.begin(), member_sorted.end());
         WEBDB_AUDIT_THAT(
             Invariant::kRendezvousGroup,

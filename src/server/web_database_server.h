@@ -21,8 +21,11 @@
 #ifndef WEBDB_SERVER_WEB_DATABASE_SERVER_H_
 #define WEBDB_SERVER_WEB_DATABASE_SERVER_H_
 
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "db/database.h"
@@ -38,6 +41,7 @@
 #include "sim/simulator.h"
 #include "txn/lock_manager.h"
 #include "txn/transaction.h"
+#include "util/chunk_arena.h"
 #include "util/stable_vector.h"
 
 namespace webdb {
@@ -61,12 +65,21 @@ class WebDatabaseServer : private ShedSink {
 
   // --- submission (at the simulator's current time) ------------------------
   // Returns the created query; the pointer stays valid for the server's
-  // lifetime. `items` must be non-empty and valid ids of the database.
-  // `tenant` selects the tenant tier (only meaningful when
+  // lifetime. `items` must be non-empty and valid ids of the database; the
+  // server copies them into its item arena, so Query::items stays valid as
+  // long as the query does and the caller's buffer may go away after the
+  // call. `tenant` selects the tenant tier (only meaningful when
   // ServerConfig::tenants is set).
-  Query* SubmitQuery(QueryType type, std::vector<ItemId> items,
+  Query* SubmitQuery(QueryType type, std::span<const ItemId> items,
                      QualityContract qc, SimDuration exec_time,
                      TenantId tenant = 0);
+  // Braced item lists, as in SubmitQuery(QueryType::kLookup, {0}, ...).
+  Query* SubmitQuery(QueryType type, std::initializer_list<ItemId> items,
+                     QualityContract qc, SimDuration exec_time,
+                     TenantId tenant = 0) {
+    return SubmitQuery(type, std::span<const ItemId>(items), std::move(qc),
+                       exec_time, tenant);
+  }
 
   Update* SubmitUpdate(ItemId item, double value, SimDuration exec_time);
 
@@ -212,6 +225,10 @@ class WebDatabaseServer : private ShedSink {
   // Retains `query`'s committed scan result in the cache when cacheable
   // (fusion + cache on, in-bounds item set, shareable domain).
   void MaybeFillResultCache(Query& query);
+  // The answer of `query`'s scan, committing now: its item set (a view,
+  // not a copy) and the items' current values, in a pooled slot that lives
+  // as long as the server. The one FusionResult producer.
+  const FusionResult* SnapshotResult(const Query& query);
   // Drops a superseded update (pending or preempted/running-active).
   void InvalidateUpdate(Update& update);
   void OnLifetimeDeadline(TxnId id);
@@ -247,6 +264,12 @@ class WebDatabaseServer : private ShedSink {
   // (util/stable_vector.h), reservable via ReserveCapacity.
   StableVector<Query> queries_;
   StableVector<Update> updates_;
+  // Storage the queries view, living exactly as long as they do (DESIGN.md
+  // §9, "Allocation-free submission"): every submitted item set, and every
+  // scan answer handed to fused members and cache hits, with its values.
+  ChunkArena<ItemId> item_arena_;
+  StableVector<FusionResult> fusion_results_;
+  ChunkArena<double> value_arena_;
 
   // The active period CpuUtilization divides by: the first submission and
   // the latest commit or apply.
@@ -259,6 +282,10 @@ class WebDatabaseServer : private ShedSink {
   std::map<TxnId, std::vector<TxnId>> fusion_groups_;
   // AttachFusionMembers' candidate buffer; keeps its capacity.
   std::vector<TxnId> fusion_joined_;
+  // ResolveConflicts' and HasRunningConflict's holder buffer
+  // (LockManager::Conflicts); keeps its capacity. Restart never asks for
+  // conflicts, so the restart loop may walk it.
+  std::vector<TxnId> conflicts_;
   // Short-TTL cache of committed scan results (DESIGN.md §14). Entries do
   // not hold resources, so a non-empty cache never blocks quiescence.
   FusionResultCache result_cache_;

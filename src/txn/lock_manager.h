@@ -46,10 +46,13 @@ class LockManager {
   // An empty table over items 0..num_items-1.
   explicit LockManager(int32_t num_items);
 
-  // Transactions (other than `txn`) whose current locks conflict with `txn`
-  // locking `items` in `mode`. Sorted ascending, duplicates removed.
-  std::vector<TxnId> Conflicts(TxnId txn, LockMode mode,
-                               std::span<const ItemId> items) const;
+  // Fills `out` with the transactions (other than `txn`) whose current
+  // locks conflict with `txn` locking `items` in `mode`: sorted ascending,
+  // duplicates removed, previous contents discarded. `out` is the caller's
+  // and keeps its capacity, so a warm buffer makes the call allocate
+  // nothing.
+  void Conflicts(TxnId txn, LockMode mode, std::span<const ItemId> items,
+                 std::vector<TxnId>* out) const;
 
   // Acquires locks on `items` in `mode`. All conflicts must have been
   // resolved (checked). Re-entrant acquisition by the same holder is a no-op

@@ -5,9 +5,8 @@
 #define WEBDB_TXN_TRANSACTION_H_
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "db/data_item.h"
 #include "qc/quality_contract.h"
@@ -74,13 +73,16 @@ inline ServiceClass ServiceClassOf(QueryType type) {
 std::string ToString(ServiceClass service_class);
 
 // The answer of a fused scan, produced once by the group leader at commit
-// and fanned out to every waiter. Immutable after construction: waiters
-// share the buffer and must never mutate it (enforced by the
-// fused-result-mutation lint rule).
+// and fanned out to every waiter. The server owns it (a pooled slot) and
+// hands out `const FusionResult*`: waiters share it and must never mutate
+// it (enforced by the fused-result-mutation lint rule).
 struct FusionResult {
   TxnId leader = 0;
-  std::vector<ItemId> items;   // the leader's (covering) item set
-  std::vector<double> values;  // item values at scan completion
+  // The leader's (covering) item set: a view of the leader's own
+  // Query::items, which never change once submitted.
+  std::span<const ItemId> items;
+  // Item values at scan completion, in `items` order (server-owned).
+  std::span<const double> values;
   SimTime scan_complete = 0;
 };
 
@@ -115,7 +117,10 @@ struct Transaction {
 
 struct Query : Transaction {
   QueryType type = QueryType::kLookup;
-  std::vector<ItemId> items;
+  // The item set, a view: a server-submitted query's items live in the
+  // server's item arena for the server's lifetime (SubmitQuery); a
+  // hand-built query's owner keeps them alive.
+  std::span<const ItemId> items;
   QualityContract qc;
   // Absolute drop deadline (arrival + lifetime), set by the server.
   SimTime lifetime_deadline = kSimTimeMax;
@@ -129,10 +134,10 @@ struct Query : Transaction {
 
   // Shared execution (DESIGN.md §13). While state == kFused this query is a
   // member of the fusion group led by `fused_into`; after settlement both
-  // leader and members hold the shared immutable scan answer. 0 / nullptr
-  // for queries that never fused.
+  // leader and members point at the immutable scan answer, which the
+  // server owns for its lifetime. 0 / nullptr for queries that never fused.
   TxnId fused_into = 0;
-  std::shared_ptr<const FusionResult> fused_result;
+  const FusionResult* fused_result = nullptr;
   // FNV-1a fusion signature over (service class, sorted items), computed
   // once at submission when fusion is on and the query is within the
   // fusion item bound (FusionIndex::Signature); 0 otherwise. The fusion

@@ -1,6 +1,7 @@
 // Process-wide heap-allocation counter for the allocation guards
-// (fusion_flat_test, hot_path_test). It replaces the global operator new and
-// delete, so include it from exactly one translation unit of a test binary.
+// (fusion_flat_test, hot_path_test, quality_contract_test). It replaces the
+// global operator new and delete, so include it from exactly one translation
+// unit of a test binary.
 
 #ifndef WEBDB_TESTS_ALLOC_COUNTER_H_
 #define WEBDB_TESTS_ALLOC_COUNTER_H_

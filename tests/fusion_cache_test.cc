@@ -12,6 +12,7 @@
 // served while an overloaded admission controller is turning identical
 // load away — and SweepRunner --jobs bit-identity of cached runs.
 
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "sched/fifo_scheduler.h"
 #include "server/fusion.h"
 #include "server/web_database_server.h"
+#include "test_txns.h"
 #include "util/rng.h"
 
 namespace webdb {
@@ -34,24 +36,27 @@ namespace {
 
 // --- FusionIndex contract --------------------------------------------------
 
-Query MakeIndexQuery(uint64_t index, QueryType type,
+// A hand-built queued query whose items `item_sets` keeps.
+Query MakeIndexQuery(ItemSets& item_sets, uint64_t index, QueryType type,
                      std::vector<ItemId> items) {
   Query query;
   query.id = QueryTxnId(index);
   query.kind = TxnKind::kQuery;
   query.state = TxnState::kQueued;
   query.type = type;
-  query.items = std::move(items);
+  query.items = item_sets.Keep(std::move(items));
   query.fusion_signature = FusionIndex::Signature(query);
   return query;
 }
 
 TEST(FusionIndexTest, RemoveIsIdempotentOnBothBucketTables) {
+  ItemSets item_sets;
   FusionIndex index;
   // A subset joiner sits in its signature bucket and its item row; a scan
   // only in its bucket.
-  Query lookup = MakeIndexQuery(1, QueryType::kLookup, {3});
-  Query scan = MakeIndexQuery(2, QueryType::kAggregation, {1, 2, 3});
+  Query lookup = MakeIndexQuery(item_sets, 1, QueryType::kLookup, {3});
+  Query scan =
+      MakeIndexQuery(item_sets, 2, QueryType::kAggregation, {1, 2, 3});
   index.Insert(&lookup);
   index.Insert(&scan);
   ASSERT_EQ(index.Size(), 2);
@@ -70,9 +75,10 @@ TEST(FusionIndexTest, RemoveIsIdempotentOnBothBucketTables) {
 }
 
 TEST(FusionIndexTest, RemoveOfNeverIndexedQueryIsANoOp) {
+  ItemSets item_sets;
   FusionIndex index;
-  Query indexed = MakeIndexQuery(1, QueryType::kLookup, {5});
-  Query stranger = MakeIndexQuery(2, QueryType::kLookup, {5});
+  Query indexed = MakeIndexQuery(item_sets, 1, QueryType::kLookup, {5});
+  Query stranger = MakeIndexQuery(item_sets, 2, QueryType::kLookup, {5});
   index.Insert(&indexed);
   // Same signature and same item row as `indexed`, but never
   // inserted: Remove must leave the indexed twin untouched.
@@ -84,7 +90,8 @@ TEST(FusionIndexTest, RemoveOfNeverIndexedQueryIsANoOp) {
 TEST(FusionIndexDeathTest, DoubleInsertDies) {
   // Double-indexing used to double-count size_ and leave a dangling id;
   // the guarded Insert refuses with a CHECK naming the Contains guard.
-  Query query = MakeIndexQuery(1, QueryType::kLookup, {0});
+  ItemSets item_sets;
+  Query query = MakeIndexQuery(item_sets, 1, QueryType::kLookup, {0});
   EXPECT_DEATH(
       {
         FusionIndex index;
@@ -98,15 +105,17 @@ TEST(FusionIndexTest, DuplicateLeaderItemsCollectEachLookupOnce) {
   // Regression for the duplicate-leader-item rescan: a degenerate leader
   // whose item list repeats one symbol must yield each covered lookup
   // exactly once, in bucket order.
+  ItemSets item_sets;
   FusionIndex index;
   std::vector<Query> lookups;
   lookups.reserve(3);
   for (uint64_t i = 0; i < 3; ++i) {
-    lookups.push_back(MakeIndexQuery(10 + i, QueryType::kLookup, {7}));
+    lookups.push_back(
+        MakeIndexQuery(item_sets, 10 + i, QueryType::kLookup, {7}));
     index.Insert(&lookups.back());
   }
   const Query leader =
-      MakeIndexQuery(1, QueryType::kAggregation, {7, 7, 7, 7});
+      MakeIndexQuery(item_sets, 1, QueryType::kAggregation, {7, 7, 7, 7});
   std::vector<TxnId> members;
   index.CollectCandidates(leader, /*max_members=*/64, &members);
   EXPECT_EQ(members, std::vector<TxnId>(
@@ -117,19 +126,21 @@ TEST(FusionIndexTest, CollectStaysExactPastTheLinearScanThreshold) {
   // 40 exact look-alikes push `out` well past the small-group linear scan,
   // onto the hash-set membership path: the result must still be every
   // candidate exactly once, in insertion order, capped by max_members.
+  ItemSets item_sets;
   FusionIndex index;
   std::vector<Query> twins;
   twins.reserve(40);
   for (uint64_t i = 0; i < 40; ++i) {
-    twins.push_back(MakeIndexQuery(100 + i, QueryType::kAggregation,
-                                   {1, 2, 3}));
+    twins.push_back(MakeIndexQuery(item_sets, 100 + i,
+                                   QueryType::kAggregation, {1, 2, 3}));
     index.Insert(&twins.back());
   }
   // A covered lookup after the exact pass exercises taken() on the set.
-  Query lookup = MakeIndexQuery(200, QueryType::kLookup, {2});
+  Query lookup = MakeIndexQuery(item_sets, 200, QueryType::kLookup, {2});
   index.Insert(&lookup);
 
-  const Query leader = MakeIndexQuery(1, QueryType::kAggregation, {1, 2, 3});
+  const Query leader =
+      MakeIndexQuery(item_sets, 1, QueryType::kAggregation, {1, 2, 3});
   std::vector<TxnId> members;
   index.CollectCandidates(leader, /*max_members=*/64, &members);
   ASSERT_EQ(members.size(), 41u);
@@ -300,6 +311,71 @@ TEST(FusionCacheTest, CacheHitIsServedWhileAdmissionIsSheddingLoad) {
   EXPECT_GE(h.server->metrics().queries_rejected +
                 h.server->metrics().queries_shed,
             1) << "flood did not overload admission";
+  h.server->AuditInvariants();
+}
+
+TEST(FusionCacheTest, FannedOutAnswerIsTheLeadersScan) {
+  // One scan's answer reaches every member of its group and every later
+  // cache hit: the same object, its items the leader's own item set (a
+  // view, not a copy), its values the items' values at the scan's commit.
+  CacheHarness h;
+  const double kValues[] = {10.5, 20.25, 30.125};
+  for (ItemId item = 0; item < 3; ++item) {
+    h.server->SubmitUpdate(item, kValues[item], Millis(1));
+  }
+  h.server->RunUntil(Millis(10));
+  // A blocker holds the FIFO CPU while the look-alikes queue behind the
+  // leader: an exact twin in another order, and a covered lookup.
+  const auto submit = [&](QueryType type, std::initializer_list<ItemId> items,
+                          SimDuration exec) {
+    return h.server->SubmitQuery(type, items, h.qc_gen.Next(h.qc_rng), exec);
+  };
+  submit(QueryType::kLookup, {5}, Millis(10));
+  Query* leader = submit(QueryType::kAggregation, {2, 0, 1}, Millis(8));
+  const std::vector<Query*> members = {
+      submit(QueryType::kAggregation, {0, 1, 2}, Millis(8)),
+      submit(QueryType::kLookup, {1}, Millis(3)),
+  };
+  h.server->RunUntil(Millis(40));
+  ASSERT_EQ(leader->state, TxnState::kCommitted);
+  const FusionResult* result = leader->fused_result;
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->leader, leader->id);
+  EXPECT_EQ(result->scan_complete, leader->commit_time);
+  EXPECT_EQ(result->items.data(), leader->items.data());
+  ASSERT_EQ(result->items.size(), 3u);
+  ASSERT_EQ(result->values.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(result->items[i], leader->items[i]);
+    EXPECT_EQ(result->values[i],
+              kValues[static_cast<size_t>(result->items[i])]);
+  }
+  for (const Query* member : members) {
+    EXPECT_EQ(member->state, TxnState::kCommitted);
+    EXPECT_EQ(member->fused_into, leader->id);
+    EXPECT_EQ(member->fused_result, result);
+  }
+
+  // Inside the TTL, an exact look-alike and a covered lookup hit the
+  // leader's entry and get the very same answer object.
+  const std::vector<Query*> hits = {
+      submit(QueryType::kAggregation, {1, 2, 0}, Millis(8)),
+      submit(QueryType::kLookup, {2}, Millis(3)),
+  };
+  for (const Query* hit : hits) {
+    EXPECT_EQ(hit->state, TxnState::kCommitted);
+    EXPECT_EQ(hit->cache_source, leader->id);
+    EXPECT_EQ(hit->fused_result, result);
+  }
+
+  // A later write moves the database, not the snapshot.
+  h.server->SubmitUpdate(0, 99.0, Millis(1));
+  h.server->Run();
+  EXPECT_EQ(h.db.Item(0).value, 99.0);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(result->values[i],
+              kValues[static_cast<size_t>(result->items[i])]);
+  }
   h.server->AuditInvariants();
 }
 

@@ -32,6 +32,7 @@
 #include "fusion_map_reference.h"
 #include "server/fusion.h"
 #include "server/signature_table.h"
+#include "test_txns.h"
 #include "util/rng.h"
 
 namespace webdb {
@@ -168,14 +169,15 @@ TEST(SignatureTableTest, MatchesStdMapUnderRandomInsertEraseFind) {
 constexpr ItemId kMaxItem = 4095;
 
 // A query as the server would build it: the signature is set once, at
-// "submission".
-Query MakeQuery(uint64_t index, QueryType type, std::vector<ItemId> items) {
+// "submission". `item_sets` keeps its items.
+Query MakeQuery(ItemSets& item_sets, uint64_t index, QueryType type,
+                std::vector<ItemId> items) {
   Query query;
   query.id = QueryTxnId(index);
   query.kind = TxnKind::kQuery;
   query.state = TxnState::kQueued;
   query.type = type;
-  query.items = std::move(items);
+  query.items = item_sets.Keep(std::move(items));
   query.fusion_signature = FusionIndex::Signature(query);
   return query;
 }
@@ -270,6 +272,7 @@ void RunDifferential(uint64_t seed, int steps) {
   Rng& rng = source.rng();
   Database db(kMaxItem + 1);
 
+  ItemSets item_sets;
   std::deque<Query> queries;  // stable addresses for the index
   std::vector<bool> indexed;
   FusionIndex flat_index;
@@ -280,10 +283,12 @@ void RunDifferential(uint64_t seed, int steps) {
   std::vector<SimTime> expiries;
   int64_t collected_past_switch = 0;
   int64_t subset_hits = 0;
+  const FusionResult result;
 
   const auto new_query = [&]() -> Query& {
     auto [type, items] = source.Shape();
-    queries.push_back(MakeQuery(queries.size(), type, std::move(items)));
+    queries.push_back(
+        MakeQuery(item_sets, queries.size(), type, std::move(items)));
     indexed.push_back(false);
     return queries.back();
   };
@@ -340,9 +345,8 @@ void RunDifferential(uint64_t seed, int steps) {
       const size_t q = rng.Bernoulli(0.5) ? (new_query(), queries.size() - 1)
                                           : any_query();
       const SimDuration ttl = rng.UniformInt(1, Millis(50));
-      auto result = std::make_shared<const FusionResult>();
-      flat_cache.Fill(queries[q], result, 0, clock, ttl, db);
-      map_cache.Fill(queries[q], result, 0, clock, ttl, db);
+      flat_cache.Fill(queries[q], &result, 0, clock, ttl, db);
+      map_cache.Fill(queries[q], &result, 0, clock, ttl, db);
       expiries.push_back(clock + ttl);
     } else if (op < 90) {
       // Lookup now, or exactly at / one tick past a fill's expiry.
@@ -401,21 +405,22 @@ TEST(FusionFlatDifferentialTest, EqualCommitTimesBreakTiesByLowestSignature) {
   Database db(kMaxItem + 1);
   FusionResultCache flat;
   MapFusionResultCache ref;
+  ItemSets item_sets;
   const std::vector<Query> scans = {
-      MakeQuery(1, QueryType::kAggregation, {9, 4000}),
-      MakeQuery(2, QueryType::kComparison, {9, 17, 3}),
-      MakeQuery(3, QueryType::kMovingAverage, {2048, 9}),
+      MakeQuery(item_sets, 1, QueryType::kAggregation, {9, 4000}),
+      MakeQuery(item_sets, 2, QueryType::kComparison, {9, 17, 3}),
+      MakeQuery(item_sets, 3, QueryType::kMovingAverage, {2048, 9}),
   };
-  auto result = std::make_shared<const FusionResult>();
+  const FusionResult result;
   for (const Query& scan : scans) {
-    flat.Fill(scan, result, 0, Millis(10), Millis(50), db);
-    ref.Fill(scan, result, 0, Millis(10), Millis(50), db);
+    flat.Fill(scan, &result, 0, Millis(10), Millis(50), db);
+    ref.Fill(scan, &result, 0, Millis(10), Millis(50), db);
   }
   const Query* lowest = &scans[0];
   for (const Query& scan : scans) {
     if (scan.fusion_signature < lowest->fusion_signature) lowest = &scan;
   }
-  const Query lookup = MakeQuery(4, QueryType::kLookup, {9});
+  const Query lookup = MakeQuery(item_sets, 4, QueryType::kLookup, {9});
   const FusionResultCache::Entry* flat_hit = flat.Lookup(lookup, Millis(20));
   const MapFusionResultCache::Entry* ref_hit = ref.Lookup(lookup, Millis(20));
   ASSERT_NE(flat_hit, nullptr);
@@ -424,8 +429,9 @@ TEST(FusionFlatDifferentialTest, EqualCommitTimesBreakTiesByLowestSignature) {
   EXPECT_EQ(ref_hit->source, lowest->id);
 
   // A later commit beats every lower signature.
-  const Query newer = MakeQuery(5, QueryType::kAggregation, {9, 1});
-  flat.Fill(newer, result, 0, Millis(11), Millis(50), db);
+  const Query newer =
+      MakeQuery(item_sets, 5, QueryType::kAggregation, {9, 1});
+  flat.Fill(newer, &result, 0, Millis(11), Millis(50), db);
   EXPECT_EQ(flat.Lookup(lookup, Millis(20))->source, newer.id);
   flat.AuditConsistency();
 }
@@ -442,14 +448,15 @@ TEST(FusionFlatAllocationTest, SteadyStateCallsAllocateNothing) {
   // after that a cycle allocates nothing.
   ShapeSource source(7);
   Database db(kMaxItem + 1);
+  ItemSets item_sets;
   std::vector<Query> queries;
   for (uint64_t i = 0; i < 300; ++i) {
     auto [type, items] = source.Shape();
-    queries.push_back(MakeQuery(i, type, std::move(items)));
+    queries.push_back(MakeQuery(item_sets, i, type, std::move(items)));
   }
   FusionIndex index;
   FusionResultCache cache;
-  const auto result = std::make_shared<const FusionResult>();
+  const FusionResult result;
   std::vector<TxnId> members;
   members.reserve(kMaxFusionGroupSize);
   SimTime clock = 0;
@@ -466,7 +473,7 @@ TEST(FusionFlatAllocationTest, SteadyStateCallsAllocateNothing) {
     }
     for (const Query& query : queries) index.Remove(query);
     for (size_t i = 0; i < queries.size(); i += 3) {
-      cache.Fill(queries[i], result, 0, clock, Millis(50), db);
+      cache.Fill(queries[i], &result, 0, clock, Millis(50), db);
       clock += Micros(100);
     }
     for (const Query& query : queries) {

@@ -39,7 +39,7 @@ inline uint64_t MixU64(uint64_t hash, uint64_t value) {
 }
 
 inline std::vector<ItemId> SortedItems(const Query& query) {
-  std::vector<ItemId> items = query.items;
+  std::vector<ItemId> items(query.items.begin(), query.items.end());
   std::sort(items.begin(), items.end());
   return items;
 }
@@ -183,7 +183,7 @@ class MapFusionResultCache {
   struct Entry {
     TxnId source = 0;
     uint64_t signature = 0;
-    std::shared_ptr<const FusionResult> result;
+    const FusionResult* result = nullptr;
     ServiceClass service_class = ServiceClass::kInteractive;
     std::vector<ItemId> sorted_items;
     int domain = -1;
@@ -193,8 +193,8 @@ class MapFusionResultCache {
     std::vector<uint64_t> applied_seqs;
   };
 
-  void Fill(const Query& query, std::shared_ptr<const FusionResult> result,
-            int domain, SimTime now, SimDuration ttl, const Database& db) {
+  void Fill(const Query& query, const FusionResult* result, int domain,
+            SimTime now, SimDuration ttl, const Database& db) {
     WEBDB_CHECK(result != nullptr && !query.items.empty());
     const uint64_t sig = map_reference::Signature(query);
     const auto existing = entries_.find(sig);
@@ -203,7 +203,7 @@ class MapFusionResultCache {
     Entry entry;
     entry.source = query.id;
     entry.signature = sig;
-    entry.result = std::move(result);
+    entry.result = result;
     entry.service_class = ServiceClassOf(query.type);
     entry.sorted_items = map_reference::SortedItems(query);
     entry.domain = domain;

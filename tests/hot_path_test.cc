@@ -1,26 +1,39 @@
-// Hot-path guards (DESIGN.md §9): the event core and TxnQueue, held to exact
-// counts instead of timings. Each workload runs on one instance, first to
-// warm it (grow the heap, the slot arena and the queue buffers to their
-// high-water marks), then over a measured window in which it must:
+// Hot-path guards (DESIGN.md §9), held to exact counts instead of timings.
+// The event core and TxnQueue each run on one instance, first to warm it
+// (grow the heap, the slot arena and the queue buffers to their high-water
+// marks), then over a measured window in which it must:
 //   * allocate nothing (counted by the operator new in alloc_counter.h);
 //   * keep the event heap at the live population, so a cancelled event
 //     leaves no dead entry behind, and the slot arena at that size too;
 //   * spill no closure out of EventCallback's inline buffer;
 //   * fire every completion and no cancelled event.
 // Bounds are recorded in plain integers inside the window and asserted after
-// it, so the assertions themselves cannot allocate mid-window.
+// it, so the assertions themselves cannot allocate mid-window. A whole
+// server fed from a generated trace is held to the same zero on its
+// submission path (contracts, item sets, conflict scans).
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "audit/invariant_auditor.h"
+#include "db/database.h"
+#include "exp/scheduler_factory.h"
+#include "exp/trace_feeder.h"
+#include "qc/qc_generator.h"
 #include "sched/txn_queue.h"
+#include "server/web_database_server.h"
 #include "sim/simulator.h"
+#include "trace/stock_trace_generator.h"
+#include "trace/trace.h"
 #include "txn/transaction.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace webdb {
@@ -161,6 +174,140 @@ TEST(HotPathTest, TxnQueueRestartStormAllocatesNothingAndStaysCompact) {
   size_t popped = 0;
   while (queue.Pop() != nullptr) ++popped;
   EXPECT_EQ(popped, kLive);
+}
+
+// --- server submission path ---------------------------------------------------
+// A server replays a generated trace through TraceFeeder, so every query
+// takes the real path: a drawn contract, an item set copied into the
+// server's arena, admission, the conflict scans at dispatch. The window
+// then submits at least 10,000 transactions and must allocate nothing.
+//
+// Buffers that keep their capacity still grow whenever a run sets a new
+// high-water mark: a queue depth, a conflict list, or the shared holders
+// of one item (the lock table's holder rows, which also grow the first
+// time an item is locked). That growth is warm-up, not a per-transaction
+// cost, so the warm-up offers twice the window's query rate at the same
+// update rate: more queued and preempted readers, and fewer updates
+// restarting them, than the window ever sees. The warm-up must also lock
+// every item. The window sits inside the first item-arena chunk and the
+// reserved transaction pools, and between two growth steps of the profit
+// ledger's one-second series (buckets 65 to 127 fill a capacity-128
+// vector).
+
+constexpr SimTime kWarmupEnd = Seconds(65);
+constexpr SimTime kWindowEnd = Seconds(127);
+
+struct ServerWindow {
+  int64_t allocations = 0;
+  // Transactions submitted inside the window.
+  size_t transactions = 0;
+  // Items a committed query or an applied update had locked by the
+  // window's start, and the database size.
+  size_t items_locked = 0;
+  size_t num_items = 0;
+};
+
+// A paper-shaped trace without flash crowds over `num_stocks` items, its
+// arrival rates scaled by `load`, the query rate by `query_gain` on top.
+Trace SteadyTrace(uint64_t seed, int32_t num_stocks, double load,
+                  double query_gain, SimDuration duration) {
+  StockTraceConfig config;
+  config.seed = seed;
+  config.num_stocks = num_stocks;
+  config.duration = duration;
+  config.query_spike_count = 0;
+  config.query_rate *= load * query_gain;
+  config.update_rate_start *= load;
+  config.update_rate_end *= load;
+  return GenerateStockTrace(config);
+}
+
+// The warm-up segment at twice the query rate, then the window's segment.
+Trace WarmupThenWindow(int32_t num_stocks, double load) {
+  Trace trace = SteadyTrace(2007, num_stocks, load, 2.0, kWarmupEnd);
+  const Trace window = SteadyTrace(2008, num_stocks, load, 1.0,
+                                   kWindowEnd - kWarmupEnd + Seconds(3));
+  for (QueryRecord record : window.queries) {
+    record.arrival += kWarmupEnd;
+    trace.queries.push_back(std::move(record));
+  }
+  for (UpdateRecord record : window.updates) {
+    record.arrival += kWarmupEnd;
+    trace.updates.push_back(record);
+  }
+  trace.CheckValid();
+  return trace;
+}
+
+ServerWindow RunServerWindow(const Trace& trace, const SchedulerSpec& spec,
+                             const QcProfile& profile) {
+  Database db(trace.num_items);
+  const std::unique_ptr<CpuSetScheduler> scheduler = MakeScheduler(spec);
+  const std::unique_ptr<AdmissionController> admission =
+      MakeAdmission(spec.admission, spec.topology.num_cpus);
+  ServerConfig config;
+  config.admission = admission.get();
+  WebDatabaseServer server(&db, scheduler.get(), config);
+  server.ReserveCapacity(trace.queries.size(), trace.updates.size());
+  const QcGenerator generator(profile);
+  Rng qc_rng(11);
+  TraceFeeder feeder(&server, &trace, [&](const QueryRecord&) {
+    return generator.Next(qc_rng);
+  });
+  feeder.Start();
+  server.RunUntil(kWarmupEnd);
+
+  ServerWindow window;
+  window.num_items = static_cast<size_t>(trace.num_items);
+  std::vector<bool> locked(window.num_items, false);
+  for (const Query& query : server.queries()) {
+    if (query.state != TxnState::kCommitted) continue;
+    for (ItemId item : query.items) locked[static_cast<size_t>(item)] = true;
+  }
+  for (const Update& update : server.updates()) {
+    if (update.state == TxnState::kCommitted) {
+      locked[static_cast<size_t>(update.item)] = true;
+    }
+  }
+  window.items_locked =
+      static_cast<size_t>(std::count(locked.begin(), locked.end(), true));
+
+  const size_t submitted_before =
+      server.queries().size() + server.updates().size();
+  const int64_t before = AllocationCount();
+  server.RunUntil(kWindowEnd);
+  window.allocations = AllocationCount() - before;
+  window.transactions =
+      server.queries().size() + server.updates().size() - submitted_before;
+  return window;
+}
+
+TEST(HotPathTest, OneCpuServerSubmissionAllocatesNothing) {
+  if constexpr (audit::kEnabled) {
+    GTEST_SKIP() << "the strided audit pass allocates by design";
+  }
+  SchedulerSpec spec;
+  spec.kind = SchedulerKind::kQuts;
+  const ServerWindow window = RunServerWindow(
+      WarmupThenWindow(64, 1.0), spec, Table4Profile(0.5, QcShape::kStep));
+  ASSERT_EQ(window.items_locked, window.num_items);
+  ASSERT_GE(window.transactions, size_t{10'000});
+  EXPECT_EQ(window.allocations, 0);
+}
+
+TEST(HotPathTest, ShardedDbfServerSubmissionAllocatesNothing) {
+  if constexpr (audit::kEnabled) {
+    GTEST_SKIP() << "the strided audit pass allocates by design";
+  }
+  SchedulerSpec spec;
+  spec.kind = SchedulerKind::kQuts;
+  spec.topology.num_cpus = 4;
+  spec.admission.kind = AdmissionKind::kDbf;
+  const ServerWindow window = RunServerWindow(
+      WarmupThenWindow(64, 4.0), spec, Table4Profile(0.2, QcShape::kStep));
+  ASSERT_EQ(window.items_locked, window.num_items);
+  ASSERT_GE(window.transactions, size_t{10'000});
+  EXPECT_EQ(window.allocations, 0);
 }
 
 }  // namespace

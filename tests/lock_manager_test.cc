@@ -4,6 +4,8 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,11 +24,19 @@ constexpr int32_t kNumItems = 8;
 // constructor before C++26).
 std::vector<ItemId> Items(std::initializer_list<ItemId> ids) { return ids; }
 
+// LockManager::Conflicts into a fresh buffer.
+std::vector<TxnId> ConflictsOf(const LockManager& lm, TxnId txn, LockMode mode,
+                               std::span<const ItemId> items) {
+  std::vector<TxnId> out;
+  lm.Conflicts(txn, mode, items, &out);
+  return out;
+}
+
 TEST(LockManagerTest, SharedLocksCoexist) {
   LockManager lm(kNumItems);
-  EXPECT_TRUE(lm.Conflicts(2, LockMode::kShared, Items({1, 2})).empty());
+  EXPECT_TRUE(ConflictsOf(lm, 2, LockMode::kShared, Items({1, 2})).empty());
   lm.Acquire(2, LockMode::kShared, Items({1, 2}));
-  EXPECT_TRUE(lm.Conflicts(4, LockMode::kShared, Items({1, 2})).empty());
+  EXPECT_TRUE(ConflictsOf(lm, 4, LockMode::kShared, Items({1, 2})).empty());
   lm.Acquire(4, LockMode::kShared, Items({2, 3}));
   EXPECT_TRUE(lm.Holds(2, Items({1, 2})));
   EXPECT_TRUE(lm.Holds(4, Items({2, 3})));
@@ -37,7 +47,7 @@ TEST(LockManagerTest, SharedLocksCoexist) {
 TEST(LockManagerTest, ExclusiveConflictsWithShared) {
   LockManager lm(kNumItems);
   lm.Acquire(2, LockMode::kShared, Items({5}));
-  const auto conflicts = lm.Conflicts(3, LockMode::kExclusive, Items({5}));
+  const auto conflicts = ConflictsOf(lm, 3, LockMode::kExclusive, Items({5}));
   ASSERT_EQ(conflicts.size(), 1u);
   EXPECT_EQ(conflicts[0], 2u);
 }
@@ -46,7 +56,7 @@ TEST(LockManagerTest, SharedConflictsWithExclusive) {
   LockManager lm(kNumItems);
   lm.Acquire(3, LockMode::kExclusive, Items({5}));
   EXPECT_EQ(lm.ExclusiveHolder(5), 3u);
-  const auto conflicts = lm.Conflicts(2, LockMode::kShared, Items({4, 5}));
+  const auto conflicts = ConflictsOf(lm, 2, LockMode::kShared, Items({4, 5}));
   ASSERT_EQ(conflicts.size(), 1u);
   EXPECT_EQ(conflicts[0], 3u);
 }
@@ -54,20 +64,20 @@ TEST(LockManagerTest, SharedConflictsWithExclusive) {
 TEST(LockManagerTest, NoSelfConflict) {
   LockManager lm(kNumItems);
   lm.Acquire(2, LockMode::kShared, Items({1}));
-  EXPECT_TRUE(lm.Conflicts(2, LockMode::kShared, Items({1})).empty());
+  EXPECT_TRUE(ConflictsOf(lm, 2, LockMode::kShared, Items({1})).empty());
 }
 
 TEST(LockManagerTest, ConflictsDeduplicated) {
   LockManager lm(kNumItems);
   lm.Acquire(2, LockMode::kShared, Items({1, 2, 3}));
-  const auto conflicts = lm.Conflicts(5, LockMode::kExclusive, Items({1}));
+  const auto conflicts = ConflictsOf(lm, 5, LockMode::kExclusive, Items({1}));
   EXPECT_EQ(conflicts.size(), 1u);
   // A query over several items held by the same exclusive holder reports it
   // once.
   LockManager lm2(kNumItems);
   lm2.Acquire(3, LockMode::kExclusive, Items({1}));
   lm2.Acquire(5, LockMode::kExclusive, Items({2}));
-  auto multi = lm2.Conflicts(2, LockMode::kShared, Items({1, 2}));
+  auto multi = ConflictsOf(lm2, 2, LockMode::kShared, Items({1, 2}));
   std::sort(multi.begin(), multi.end());
   EXPECT_EQ(multi, (std::vector<TxnId>{3, 5}));
 }
@@ -80,8 +90,23 @@ TEST(LockManagerTest, ConflictsAreSortedAcrossSharedHolders) {
     lm.Acquire(holder, LockMode::kShared, Items({1}));
   }
   lm.Release(2, Items({1}));
-  EXPECT_EQ(lm.Conflicts(3, LockMode::kExclusive, Items({1})),
+  EXPECT_EQ(ConflictsOf(lm, 3, LockMode::kExclusive, Items({1})),
             (std::vector<TxnId>{4, 6, 8}));
+}
+
+TEST(LockManagerTest, ConflictsOverwriteTheCallersBuffer) {
+  // The server reuses one buffer for every dispatch: each call replaces
+  // its contents and keeps its capacity.
+  LockManager lm(kNumItems);
+  lm.Acquire(4, LockMode::kShared, Items({1}));
+  lm.Acquire(2, LockMode::kShared, Items({1}));
+  std::vector<TxnId> buffer = {99, 98, 97, 96, 95};
+  const size_t capacity = buffer.capacity();
+  lm.Conflicts(3, LockMode::kExclusive, Items({1}), &buffer);
+  EXPECT_EQ(buffer, (std::vector<TxnId>{2, 4}));
+  lm.Conflicts(3, LockMode::kShared, Items({1}), &buffer);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(buffer.capacity(), capacity);
 }
 
 TEST(LockManagerTest, ReleaseAllFreesEverything) {
@@ -90,7 +115,8 @@ TEST(LockManagerTest, ReleaseAllFreesEverything) {
   lm.Release(2, Items({1, 2, 3}));
   EXPECT_FALSE(lm.Holds(2, Items({1, 2, 3})));
   EXPECT_EQ(lm.NumLockedItems(), 0u);
-  EXPECT_TRUE(lm.Conflicts(3, LockMode::kExclusive, Items({1, 2, 3})).empty());
+  EXPECT_TRUE(
+      ConflictsOf(lm, 3, LockMode::kExclusive, Items({1, 2, 3})).empty());
 }
 
 TEST(LockManagerTest, ReleaseUnknownIsNoop) {
@@ -134,7 +160,7 @@ TEST(LockManagerTest, HighestItemIdIsUsable) {
   const ItemId last = kNumItems - 1;
   lm.Acquire(3, LockMode::kExclusive, Items({last}));
   EXPECT_EQ(lm.ExclusiveHolder(last), 3u);
-  EXPECT_EQ(lm.Conflicts(2, LockMode::kShared, Items({0, last})),
+  EXPECT_EQ(ConflictsOf(lm, 2, LockMode::kShared, Items({0, last})),
             (std::vector<TxnId>{3}));
   lm.Release(3, Items({last}));
   EXPECT_EQ(lm.ExclusiveHolder(last), 0u);
@@ -145,7 +171,7 @@ TEST(LockManagerTest, ExclusiveThenReleaseAllowsNewExclusive) {
   LockManager lm(kNumItems);
   lm.Acquire(3, LockMode::kExclusive, Items({7}));
   lm.Release(3, Items({7}));
-  EXPECT_TRUE(lm.Conflicts(5, LockMode::kExclusive, Items({7})).empty());
+  EXPECT_TRUE(ConflictsOf(lm, 5, LockMode::kExclusive, Items({7})).empty());
   lm.Acquire(5, LockMode::kExclusive, Items({7}));
   EXPECT_EQ(lm.ExclusiveHolder(7), 5u);
 }
@@ -157,7 +183,7 @@ struct AuditBook {
 
   Query* NewQuery(std::vector<ItemId> items) {
     Query* query = pool.NewQuery(0);
-    query->items = std::move(items);
+    pool.SetItems(query, std::move(items));
     by_id[query->id] = query;
     return query;
   }

@@ -134,7 +134,7 @@ TEST(MetricRegistryTest, QutsExportStatsPublishesRho) {
       Query* query = pool.NewQuery(Millis(1), Millis(5),
                                    qos_heavy ? 100.0 : 1.0,
                                    qos_heavy ? 1.0 : 100.0);
-      query->items = {item};
+      pool.SetItems(query, {item});
       scheduler.OnQueryArrival(query, Millis(1));
     }
     scheduler.OnUpdateArrival(pool.NewUpdate(Millis(2)), Millis(2));

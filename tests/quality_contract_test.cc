@@ -1,8 +1,13 @@
 #include "qc/quality_contract.h"
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "alloc_counter.h"
+#include "qc/profit_function.h"
 
 namespace webdb {
 namespace {
@@ -88,13 +93,74 @@ TEST(QualityContractTest, StaleQueryEarnsOnlyQos) {
   EXPECT_DOUBLE_EQ(eval.qod, 0.0);
 }
 
-TEST(QualityContractTest, CopyIsCheapAndShared) {
-  const auto a =
-      QualityContract::Make(QcShape::kStep, 5.0, Millis(80), 7.0, 1.0);
-  const QualityContract b = a;  // shared immutable functions
-  EXPECT_DOUBLE_EQ(b.qos_max(), 5.0);
-  EXPECT_DOUBLE_EQ(b.qod_max(), 7.0);
+TEST(QualityContractTest, MakeAndCopyAllocateNothing) {
+  // Make holds the paper's shapes by value: building and copying such a
+  // contract never touches the heap.
+  for (QcShape shape : {QcShape::kStep, QcShape::kLinear}) {
+    const int64_t before = AllocationCount();
+    const auto a = QualityContract::Make(shape, 5.0, Millis(80), 7.0, 1.0);
+    QualityContract b = a;
+    const QualityContract c = b;
+    b = c;
+    EXPECT_EQ(AllocationCount() - before, 0) << ToString(shape);
+    EXPECT_DOUBLE_EQ(c.qos_max(), 5.0);
+    EXPECT_DOUBLE_EQ(c.qod_max(), 7.0);
+  }
+}
+
+TEST(QualityContractTest, CopiesEvaluateLikeTheSharedHandleForm) {
+  // A copy of a Make() contract, and the same contract built from shared
+  // function objects (the virtual-call path), agree bit for bit on a grid
+  // of response times and staleness values.
+  for (QcShape shape : {QcShape::kStep, QcShape::kLinear}) {
+    for (QcCombination mode :
+         {QcCombination::kQosIndependent, QcCombination::kQosDependent}) {
+      SCOPED_TRACE(ToString(shape) + " " + ToString(mode));
+      const auto made =
+          QualityContract::Make(shape, 3.0, Millis(64), 2.0, 2.0, mode);
+      const QualityContract copy = made;
+      std::shared_ptr<const ProfitFunction> qos, qod;
+      if (shape == QcShape::kStep) {
+        qos = std::make_shared<StepProfitFunction>(3.0, 64.0);
+        qod = std::make_shared<StepProfitFunction>(2.0, 2.0);
+      } else {
+        qos = std::make_shared<LinearProfitFunction>(3.0, 64.0);
+        qod = std::make_shared<LinearProfitFunction>(2.0, 2.0);
+      }
+      const QualityContract shared(qos, qod, mode);
+      for (const QualityContract* qc : {&copy, &shared}) {
+        EXPECT_EQ(qc->qos_max(), made.qos_max());
+        EXPECT_EQ(qc->qod_max(), made.qod_max());
+        EXPECT_EQ(qc->rt_max(), made.rt_max());
+        EXPECT_EQ(qc->uu_max(), made.uu_max());
+        EXPECT_EQ(qc->combination(), mode);
+        for (SimDuration rt = 0; rt <= Millis(70); rt += Micros(250)) {
+          for (double uu = 0.0; uu <= 3.0; uu += 0.125) {
+            const QualityContract::Evaluation want = made.Evaluate(rt, uu);
+            const QualityContract::Evaluation got = qc->Evaluate(rt, uu);
+            EXPECT_EQ(got.qos, want.qos) << rt << " " << uu;
+            EXPECT_EQ(got.qod, want.qod) << rt << " " << uu;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QualityContractTest, CustomFunctionCopiesShareOneObject) {
+  // Any other function stays behind its shared handle: copies point at the
+  // very object the contract was built from.
+  const auto qos = std::make_shared<ExponentialDecayProfitFunction>(4.0, 20.0);
+  const auto qod = std::make_shared<PiecewiseLinearProfitFunction>(
+      std::vector<PiecewiseLinearProfitFunction::Point>{{0.0, 2.0},
+                                                        {4.0, 0.0}});
+  const QualityContract a(qos, qod, QcCombination::kQosIndependent);
+  const QualityContract b = a;
+  EXPECT_EQ(&b.qos_fn(), qos.get());
+  EXPECT_EQ(&b.qod_fn(), qod.get());
   EXPECT_EQ(&a.qos_fn(), &b.qos_fn());
+  EXPECT_DOUBLE_EQ(b.QosProfit(0), 4.0);
+  EXPECT_DOUBLE_EQ(b.QodProfit(2.0), 1.0);
 }
 
 TEST(QualityContractTest, DebugStringMentionsShapeAndMode) {

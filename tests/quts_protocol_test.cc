@@ -131,7 +131,7 @@ class RealQutsDriver final : public QutsProtocolDriver {
   Transaction* Submit(TxnKind kind, SimTime at) {
     if (kind == TxnKind::kQuery) {
       Query* query = pool_->NewQuery(at);
-      query->items = {item_};
+      pool_->SetItems(query, {item_});
       scheduler_->OnQueryArrival(query, at);
       return query;
     }

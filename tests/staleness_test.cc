@@ -1,5 +1,7 @@
 #include "db/staleness.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace webdb {
@@ -16,6 +18,9 @@ class StalenessTest : public ::testing::Test {
     // Items 2, 3: fresh.
   }
   Database db_;
+  // Stale (items 0 and 1) and fresh (item 2), and fresh only.
+  const std::vector<ItemId> mixed_ = {0, 1, 2};
+  const std::vector<ItemId> fresh_ = {2, 3};
 };
 
 TEST_F(StalenessTest, UnappliedMetricCountsLiveUpdatesOnly) {
@@ -51,30 +56,30 @@ TEST_F(StalenessTest, ValueDistance) {
 
 TEST_F(StalenessTest, CombinerMax) {
   EXPECT_DOUBLE_EQ(
-      QueryStaleness(db_, {0, 1, 2}, StalenessMetric::kUnappliedArrivals,
+      QueryStaleness(db_, mixed_, StalenessMetric::kUnappliedArrivals,
                      StalenessCombiner::kMax, 5000),
       2.0);
   EXPECT_DOUBLE_EQ(
-      QueryStaleness(db_, {0, 1, 2}, StalenessMetric::kUnappliedUpdates,
+      QueryStaleness(db_, mixed_, StalenessMetric::kUnappliedUpdates,
                      StalenessCombiner::kMax, 5000),
       1.0);
 }
 
 TEST_F(StalenessTest, CombinerSum) {
   EXPECT_DOUBLE_EQ(
-      QueryStaleness(db_, {0, 1, 2}, StalenessMetric::kUnappliedArrivals,
+      QueryStaleness(db_, mixed_, StalenessMetric::kUnappliedArrivals,
                      StalenessCombiner::kSum, 5000),
       3.0);
   // Under the live-update metric each stale item contributes 1.
   EXPECT_DOUBLE_EQ(
-      QueryStaleness(db_, {0, 1, 2}, StalenessMetric::kUnappliedUpdates,
+      QueryStaleness(db_, mixed_, StalenessMetric::kUnappliedUpdates,
                      StalenessCombiner::kSum, 5000),
       2.0);
 }
 
 TEST_F(StalenessTest, CombinerAvg) {
   EXPECT_DOUBLE_EQ(
-      QueryStaleness(db_, {0, 1, 2}, StalenessMetric::kUnappliedArrivals,
+      QueryStaleness(db_, mixed_, StalenessMetric::kUnappliedArrivals,
                      StalenessCombiner::kAvg, 5000),
       1.0);
 }
@@ -90,7 +95,7 @@ TEST_F(StalenessTest, FreshItemsGiveZeroUnderEveryCombiner) {
   for (StalenessCombiner combiner :
        {StalenessCombiner::kMax, StalenessCombiner::kSum,
         StalenessCombiner::kAvg}) {
-    EXPECT_DOUBLE_EQ(QueryStaleness(db_, {2, 3},
+    EXPECT_DOUBLE_EQ(QueryStaleness(db_, fresh_,
                                     StalenessMetric::kUnappliedUpdates,
                                     combiner, 5000),
                      0.0);

@@ -4,7 +4,10 @@
 #ifndef WEBDB_TESTS_TEST_TXNS_H_
 #define WEBDB_TESTS_TEST_TXNS_H_
 
+#include <deque>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "qc/quality_contract.h"
@@ -12,6 +15,20 @@
 #include "util/time.h"
 
 namespace webdb {
+
+// Owns the item sets of hand-built queries. Query::items is a view: a
+// server keeps its queries' items in its item arena, and a test keeps them
+// here, alive as long as the ItemSets.
+class ItemSets {
+ public:
+  std::span<const ItemId> Keep(std::vector<ItemId> items) {
+    sets_.push_back(std::move(items));
+    return sets_.back();
+  }
+
+ private:
+  std::deque<std::vector<ItemId>> sets_;
+};
 
 // Pool that owns test transactions; returned pointers stay valid for its
 // lifetime.
@@ -27,11 +44,16 @@ class TxnPool {
     query->arrival = arrival;
     query->service_time = service;
     query->remaining = service;
-    query->items = {0};
+    query->items = kItemZero;
     query->qc = QualityContract::Make(QcShape::kStep, qos_max, rt_max,
                                       qod_max, 1.0);
     queries_.push_back(std::move(query));
     return queries_.back().get();
+  }
+
+  // Points `query` at `items`, kept for the pool's lifetime.
+  void SetItems(Query* query, std::vector<ItemId> items) {
+    query->items = item_sets_.Keep(std::move(items));
   }
 
   Update* NewUpdate(SimTime arrival, SimDuration service = Millis(2),
@@ -50,10 +72,13 @@ class TxnPool {
   }
 
  private:
+  static constexpr ItemId kItemZero[] = {0};
+
   uint64_t next_query_ = 0;
   uint64_t next_update_ = 0;
   std::vector<std::unique_ptr<Query>> queries_;
   std::vector<std::unique_ptr<Update>> updates_;
+  ItemSets item_sets_;
 };
 
 }  // namespace webdb

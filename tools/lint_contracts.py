@@ -29,16 +29,18 @@ notes promise but the compiler cannot see:
                           a deadlock with the sweep worker pool. Cross-thread
                           state belongs in src/exp//src/obs/ behind
                           util::Mutex + WEBDB_GUARDED_BY.
-  fused-result-mutation   a mutable handle to a FusionResult: a non-const
+  fused-result-mutation   a mutable handle to a FusionResult: a
+                          FusionResult* or FusionResult& without const, a
                           shared_ptr<FusionResult>, or a const_cast that
-                          names the type. A fused scan's result buffer is
-                          produced once (make_shared<const FusionResult> in
-                          SettleFusionGroup) and fanned out to every waiter
-                          in the group (DESIGN.md §13); a waiter that
-                          mutates through the shared pointer corrupts every
-                          other member's answer. The const in the element
-                          type is the contract — this rule catches code that
-                          launders it away.
+                          names the type. A fused scan's answer is produced
+                          once, into a slot of the server's pool
+                          (WebDatabaseServer::SnapshotResult, the one
+                          sanctioned writer), and fanned out to every waiter
+                          in the group and every cache hit as a
+                          `const FusionResult*` (DESIGN.md §13); a waiter
+                          that mutates through it corrupts every other
+                          reader's answer. The const is the contract — this
+                          rule catches code that drops or launders it.
 
 Escape hatch is shared with the determinism linter - same line or the
 immediately preceding line:
@@ -82,13 +84,28 @@ LOCK_RE = re.compile(
     r"|\.\s*(?:lock|try_lock|try_lock_for|Lock|TryLock)\s*\("
 )
 
-# A mutable handle to the shared fan-out buffer: shared_ptr<FusionResult>
+# A mutable handle to the shared fan-out answer: shared_ptr<FusionResult>
 # without const in the element type, or a const_cast naming the type.
-# `shared_ptr<const FusionResult>` (the sanctioned handle) does not match.
+# `shared_ptr<const FusionResult>` does not match.
 FUSED_RESULT_MUTATION_RE = re.compile(
     r"\bshared_ptr\s*<\s*FusionResult\b"
     r"|\bconst_cast\s*<[^<>]*\bFusionResult\b[^<>]*>"
 )
+# A pointer or reference to FusionResult; group 1 holds a leading const.
+# `const FusionResult*` (the sanctioned handle) and east-const
+# `FusionResult const&` are read-only; any other match is mutable.
+FUSED_RESULT_HANDLE_RE = re.compile(
+    r"(\bconst\s+)?(?:\w+\s*::\s*)*\bFusionResult\s*[*&]"
+)
+
+
+def mutable_fused_result(line):
+    if FUSED_RESULT_MUTATION_RE.search(line):
+        return True
+    return any(
+        m.group(1) is None for m in FUSED_RESULT_HANDLE_RE.finditer(line)
+    )
+
 
 RULE_NAMES = (
     "std-function-hot-path",
@@ -147,10 +164,7 @@ def lint_file(path, rel):
         ):
             report("lock-on-sim-path")
 
-        if (
-            "fused-result-mutation" not in here
-            and FUSED_RESULT_MUTATION_RE.search(line)
-        ):
+        if "fused-result-mutation" not in here and mutable_fused_result(line):
             report("fused-result-mutation")
 
     return findings
