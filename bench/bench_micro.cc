@@ -92,6 +92,47 @@ void BM_SimulatorTxnChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorTxnChurn)->Arg(100000);
 
+// The paper's event mix: a sorted stream of arrivals merged through the
+// simulator's arrival source (DESIGN.md §9, "Arrivals off the heap"), each
+// starting one transaction shaped like BM_SimulatorTxnChurn's: a completion
+// plus a cancelled far deadline, 64 in flight. One arrival per instant, as
+// in the stock trace, where 578,970 of 579,061 records (seed 2007, 1800 s)
+// arrive at an instant of their own. Items are arrivals.
+struct ArrivalStream final : ArrivalSource {
+  // One arrival per tick, so a 64-tick service keeps 64 in flight.
+  static constexpr SimDuration kService = 64;
+
+  Simulator sim;
+  SimTime base = 0;
+  int64_t next = 0;
+  int64_t end = 0;
+
+  SimTime NextArrivalTime() const override {
+    return next < end ? base + next : kSimTimeMax;
+  }
+
+  void FireArrivals() override {
+    ++next;
+    const SimTime now = sim.Now();
+    const EventId deadline = sim.ScheduleAt(now + 1000, [] {});
+    sim.ScheduleAt(now + kService, [this, deadline] { sim.Cancel(deadline); });
+  }
+};
+
+void BM_SimulatorArrivalStream(benchmark::State& state) {
+  ArrivalStream stream;  // one simulator across iterations keeps the arena warm
+  for (auto _ : state) {
+    stream.base = stream.sim.Now();
+    stream.next = 0;
+    stream.end = state.range(0);
+    stream.sim.AttachArrivals(&stream);
+    stream.sim.Run();
+    benchmark::DoNotOptimize(stream.sim.NumExecuted());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SimulatorArrivalStream)->Arg(100000);
+
 void BM_TxnQueuePushPop(benchmark::State& state) {
   std::vector<Query> queries(static_cast<size_t>(state.range(0)));
   for (size_t i = 0; i < queries.size(); ++i) {

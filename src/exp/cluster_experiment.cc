@@ -1,7 +1,6 @@
 #include "exp/cluster_experiment.h"
 
-#include <algorithm>
-
+#include "exp/trace_feeder.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -10,59 +9,32 @@ namespace webdb {
 
 namespace {
 
-// Chained-event pump, the cluster-side analogue of TraceFeeder.
-class ClusterFeeder {
+// The cluster-side TraceFeeder: queries are routed to one replica, updates
+// fan out to every replica.
+class ClusterFeeder final : public TraceSource {
  public:
   ClusterFeeder(WebDatabaseCluster* cluster, const Trace* trace,
                 const QcProfile& profile, uint64_t qc_seed)
-      : cluster_(cluster),
-        trace_(trace),
+      : TraceSource(&cluster->sim(), trace),
+        cluster_(cluster),
         rng_(qc_seed),
         generator_(profile) {}
 
-  void Start() {
-    const SimTime first = NextArrival();
-    if (first == kSimTimeMax) return;
-    cluster_->sim().ScheduleAt(first, [this] { Pump(); });
+  void FireArrivals() override {
+    SubmitDue(
+        [this](const UpdateRecord& u) {
+          cluster_->SubmitUpdate(u.item, u.value, u.exec_time);
+        },
+        [this](const QueryRecord& q) {
+          cluster_->SubmitQuery(q.type, q.items, generator_.Next(rng_),
+                                q.exec_time);
+        });
   }
 
  private:
-  SimTime NextArrival() const {
-    SimTime t = kSimTimeMax;
-    if (next_query_ < trace_->queries.size()) {
-      t = std::min(t, trace_->queries[next_query_].arrival);
-    }
-    if (next_update_ < trace_->updates.size()) {
-      t = std::min(t, trace_->updates[next_update_].arrival);
-    }
-    return t;
-  }
-
-  void Pump() {
-    const SimTime now = cluster_->sim().Now();
-    while (next_update_ < trace_->updates.size() &&
-           trace_->updates[next_update_].arrival <= now) {
-      const UpdateRecord& u = trace_->updates[next_update_++];
-      cluster_->SubmitUpdate(u.item, u.value, u.exec_time);
-    }
-    while (next_query_ < trace_->queries.size() &&
-           trace_->queries[next_query_].arrival <= now) {
-      const QueryRecord& q = trace_->queries[next_query_++];
-      cluster_->SubmitQuery(q.type, q.items, generator_.Next(rng_),
-                            q.exec_time);
-    }
-    const SimTime next = NextArrival();
-    if (next != kSimTimeMax) {
-      cluster_->sim().ScheduleAt(next, [this] { Pump(); });
-    }
-  }
-
   WebDatabaseCluster* cluster_;
-  const Trace* trace_;
   Rng rng_;
   QcGenerator generator_;
-  size_t next_query_ = 0;
-  size_t next_update_ = 0;
 };
 
 }  // namespace
@@ -77,6 +49,7 @@ ClusterExperimentResult RunClusterExperiment(
   ClusterFeeder feeder(&cluster, &trace, profile, qc_seed);
   feeder.Start();
   cluster.Run();
+  WEBDB_CHECK(feeder.Done());
   WEBDB_CHECK(cluster.IsQuiescent());
 
   ClusterExperimentResult result;

@@ -1,30 +1,34 @@
 #include "exp/trace_feeder.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace webdb {
 
-TraceFeeder::TraceFeeder(WebDatabaseServer* server, const Trace* trace,
-                         QcAssigner assigner)
-    : server_(server), trace_(trace), assigner_(std::move(assigner)) {
-  WEBDB_CHECK(server != nullptr && trace != nullptr);
-  WEBDB_CHECK(assigner_ != nullptr);
+TraceSource::TraceSource(Simulator* sim, const Trace* trace)
+    : sim_(sim), trace_(trace) {
+  WEBDB_CHECK(sim != nullptr && trace != nullptr);
 }
 
-void TraceFeeder::Start() {
-  const SimTime first = NextArrival();
-  if (first == kSimTimeMax) return;
-  server_->sim().ScheduleAt(first, [this] { Pump(); });
+TraceSource::~TraceSource() {
+  // The simulator releases an exhausted source by itself.
+  if (started_ && !Done()) sim_->DetachArrivals(this);
 }
 
-bool TraceFeeder::Done() const {
+void TraceSource::Start() {
+  WEBDB_CHECK_MSG(!started_, "trace source started twice");
+  started_ = true;
+  sim_->AttachArrivals(this);
+}
+
+bool TraceSource::Done() const {
   return next_query_ >= trace_->queries.size() &&
          next_update_ >= trace_->updates.size();
 }
 
-SimTime TraceFeeder::NextArrival() const {
+SimTime TraceSource::NextArrivalTime() const {
   SimTime t = kSimTimeMax;
   if (next_query_ < trace_->queries.size()) {
     t = std::min(t, trace_->queries[next_query_].arrival);
@@ -35,28 +39,25 @@ SimTime TraceFeeder::NextArrival() const {
   return t;
 }
 
-void TraceFeeder::Pump() {
-  const SimTime now = server_->Now();
-  // Submit everything due now. Updates first on ties: an update and a query
-  // arriving in the same microsecond should let the query observe it as
-  // pending, which is also the deterministic choice.
-  while (next_update_ < trace_->updates.size() &&
-         trace_->updates[next_update_].arrival <= now) {
-    const UpdateRecord& u = trace_->updates[next_update_++];
-    server_->SubmitUpdate(u.item, u.value, u.exec_time);
-  }
-  while (next_query_ < trace_->queries.size() &&
-         trace_->queries[next_query_].arrival <= now) {
-    const QueryRecord& q = trace_->queries[next_query_++];
-    // The record's items go in as a view; the server copies them into its
-    // item arena.
-    server_->SubmitQuery(q.type, q.items, assigner_(q), q.exec_time,
-                         q.tenant);
-  }
-  const SimTime next = NextArrival();
-  if (next != kSimTimeMax) {
-    server_->sim().ScheduleAt(next, [this] { Pump(); });
-  }
+TraceFeeder::TraceFeeder(WebDatabaseServer* server, const Trace* trace,
+                         QcAssigner assigner)
+    : TraceSource(server != nullptr ? &server->sim() : nullptr, trace),
+      server_(server),
+      assigner_(std::move(assigner)) {
+  WEBDB_CHECK(assigner_ != nullptr);
+}
+
+void TraceFeeder::FireArrivals() {
+  SubmitDue(
+      [this](const UpdateRecord& u) {
+        server_->SubmitUpdate(u.item, u.value, u.exec_time);
+      },
+      [this](const QueryRecord& q) {
+        // The record's items go in as a view; the server copies them into
+        // its item arena.
+        server_->SubmitQuery(q.type, q.items, assigner_(q), q.exec_time,
+                             q.tenant);
+      });
 }
 
 }  // namespace webdb

@@ -1,7 +1,7 @@
 // Small-buffer callback for simulator events.
 //
 // The discrete-event hot path schedules millions of tiny closures — processor
-// completions, arrival pumps, decision wake-ups — that capture one or two
+// completions, lifetime deadlines, decision wake-ups — that capture one or two
 // pointers. std::function would be workable for those (libstdc++ inlines
 // 16-byte trivially-copyable captures), but it gives no control over the
 // buffer size and no visibility into when it silently falls back to the

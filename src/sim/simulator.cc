@@ -9,7 +9,7 @@
 namespace webdb {
 
 EventId Simulator::ScheduleAt(SimTime t, EventCallback fn) {
-  // Hot path (every arrival, completion and wake-up): debug tier.
+  // Hot path (every completion, deadline and wake-up): debug tier.
   WEBDB_DCHECK_MSG(t >= now_, "cannot schedule into the past");
   WEBDB_DCHECK_MSG(static_cast<bool>(fn), "cannot schedule an empty callback");
   const uint64_t seq = next_seq_++;
@@ -59,7 +59,50 @@ bool Simulator::IsPending(EventId id) const {
   return slot < slots_.size() && slots_[slot].gen == GenOf(id);
 }
 
+void Simulator::AttachArrivals(ArrivalSource* source) {
+  WEBDB_CHECK(source != nullptr);
+  WEBDB_CHECK_MSG(source_ == nullptr, "an arrival source is already attached");
+  source_ = source;
+  DrawArrival();
+}
+
+void Simulator::DetachArrivals(const ArrivalSource* source) {
+  if (source_ == source) source_ = nullptr;
+}
+
+void Simulator::DrawArrival() {
+  const SimTime t = source_->NextArrivalTime();
+  if (t == kSimTimeMax) {
+    source_ = nullptr;  // exhausted: no seq is drawn for it
+    return;
+  }
+  WEBDB_DCHECK_MSG(t >= now_, "arrival source is behind the clock");
+  arrival_.time = t;
+  arrival_.seq = next_seq_++;
+}
+
+void Simulator::FireArrival() {
+  if constexpr (audit::kEnabled) {
+    WEBDB_AUDIT_THAT(audit::Invariant::kSimTimeMonotonic,
+                     arrival_.time >= now_,
+                     "arrival at t=" + std::to_string(arrival_.time) +
+                         " fired behind clock t=" + std::to_string(now_));
+  }
+  now_ = arrival_.time;
+  ++executed_;
+  source_->FireArrivals();
+  // Drawn only now, after every event the fire scheduled: where a chained
+  // pump's closing ScheduleAt drew its seq. The fire may have detached the
+  // source.
+  if (source_ != nullptr) DrawArrival();
+}
+
 bool Simulator::Step() {
+  if (source_ != nullptr &&
+      (heap_.empty() || arrival_.Before(heap_.front()))) {
+    FireArrival();
+    return true;
+  }
   if (heap_.empty()) return false;
   const HeapEntry top = heap_.front();
   if constexpr (audit::kEnabled) {
@@ -97,7 +140,8 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(SimTime t) {
-  while (!heap_.empty() && heap_.front().time <= t) {
+  while ((source_ != nullptr && arrival_.time <= t) ||
+         (!heap_.empty() && heap_.front().time <= t)) {
     Step();
   }
   if (now_ < t) now_ = t;

@@ -10,7 +10,7 @@
 // small buffer. Scheduling, firing and cancelling an event therefore touch
 // no allocator once the pool and the heap vector have reached their
 // high-water marks; the common server closures (processor completion,
-// arrival pump, decision wake-up) never touch the heap at all. EventIds
+// lifetime deadline, decision wake-up) never touch the heap at all. EventIds
 // carry a per-slot generation so a recycled slot can never be cancelled or
 // queried through a stale handle.
 //
@@ -23,6 +23,15 @@
 // pattern: each query schedules one at submission, and commit (solo or as
 // a fused member) and admission shedding cancel it, so only the deadlines
 // of queries still in flight are pending.
+//
+// Arrivals stay off the heap (DESIGN.md §9, "Arrivals off the heap"). One
+// ArrivalSource — a stream already sorted by time, such as a trace feeder —
+// may be attached; Step and RunUntil run whichever comes first in
+// (time, seq), its next arrival instant or the heap top, so an arrival takes
+// no slot, closure or sift. The source's seq comes from the same counter as
+// ScheduleAt's, drawn when it is attached and again right after each fire
+// returns: the exact slot a chained "schedule my next arrival" event would
+// have held, so the merged order equals the chained one.
 
 #ifndef WEBDB_SIM_SIMULATOR_H_
 #define WEBDB_SIM_SIMULATOR_H_
@@ -39,6 +48,22 @@ namespace webdb {
 // Handle for cancelling a scheduled event: (generation << 32) | slot index.
 // Generations start at 1, so 0 is never a valid id.
 using EventId = uint64_t;
+
+// A time-sorted stream of arrivals that the simulator merges with its event
+// heap. The simulator calls NextArrivalTime() when the source is attached
+// and after each FireArrivals(), and never otherwise, so the stream may only
+// advance inside FireArrivals().
+class ArrivalSource {
+ public:
+  virtual ~ArrivalSource() = default;
+
+  // Time of the next arrival instant, or kSimTimeMax once the stream is
+  // exhausted. Never behind the simulator's clock.
+  virtual SimTime NextArrivalTime() const = 0;
+  // Delivers every arrival due at the simulator's Now(). Counts as one
+  // executed event.
+  virtual void FireArrivals() = 0;
+};
 
 class Simulator {
  public:
@@ -63,28 +88,40 @@ class Simulator {
   // True if `id` is still pending.
   bool IsPending(EventId id) const;
 
-  // Runs the next pending event, advancing the clock. Returns false when the
-  // queue is empty.
+  // Merges `source`'s stream into the event order from its next arrival on.
+  // At most one source is attached at a time; an exhausted source is
+  // released as soon as its NextArrivalTime() reads kSimTimeMax (at once if
+  // it is empty).
+  void AttachArrivals(ArrivalSource* source);
+
+  // Releases `source` if it is the attached one; otherwise a no-op. Its
+  // pending arrival is dropped.
+  void DetachArrivals(const ArrivalSource* source);
+
+  // Runs the next pending event or arrival instant, advancing the clock.
+  // Returns false when both the queue and the arrival stream are drained.
   bool Step();
 
-  // Runs events until the queue drains.
+  // Runs events and arrivals until both drain.
   void Run();
 
-  // Runs events with timestamp <= `t`, then advances the clock to `t` (if it
-  // is not already past).
+  // Runs events and arrivals with timestamp <= `t`, then advances the clock
+  // to `t` (if it is not already past).
   void RunUntil(SimTime t);
 
   // Pre-sizes the heap and the slot arena for `pending_events` concurrently
   // pending events, so a run of known shape never grows them mid-flight.
   void Reserve(size_t pending_events);
 
+  // Events on the heap; a pending arrival instant is not one of them.
   size_t NumPending() const { return heap_.size(); }
+  // Fired heap events plus fired arrival instants.
   uint64_t NumExecuted() const { return executed_; }
 
   // Allocation / pool instrumentation, asserted exactly by the hot-path
   // guards (tests/hot_path_test.cc) and reported by perfbench.
   struct Stats {
-    uint64_t scheduled = 0;       // ScheduleAt calls
+    uint64_t scheduled = 0;       // ScheduleAt calls (arrivals take none)
     uint64_t cancelled = 0;       // successful Cancels
     // Closures too large for the EventCallback inline buffer (each one is a
     // heap allocation; 0 on the server hot path).
@@ -133,6 +170,11 @@ class Simulator {
   void SiftDown(size_t i);
   // Returns `slot` to the free list and invalidates outstanding ids.
   void ReleaseSlot(uint32_t slot);
+  // Reads the attached source's next arrival instant and draws its seq, or
+  // releases the source once it is exhausted.
+  void DrawArrival();
+  // Fires the pending arrival instant; requires source_ != nullptr.
+  void FireArrival();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
@@ -140,6 +182,10 @@ class Simulator {
   std::vector<HeapEntry> heap_; // binary min-heap on (time, seq); all live
   std::vector<Slot> slots_;     // arena; index = low 32 bits of EventId
   uint32_t free_head_ = kNoFreeSlot;
+  // The attached source and the (time, seq) of its next arrival instant
+  // (`slot` unused); valid while source_ is set.
+  ArrivalSource* source_ = nullptr;
+  HeapEntry arrival_{};
   Stats stats_;
 };
 

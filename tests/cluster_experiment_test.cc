@@ -1,6 +1,8 @@
 #include "exp/cluster_experiment.h"
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,6 +56,24 @@ TEST(ClusterExperimentTest, MoreReplicasNeverEarnLess) {
         << replicas << " replicas earned less";
     prev_pct = result.total_pct;
   }
+}
+
+// Pins one small run's outcome exactly: the cluster's arrivals reach the
+// replicas through the simulator's arrival source, merged with the delayed
+// update deliveries on the event heap, and every count and the earned
+// profit must stay those of the chained-event pump the source replaced.
+TEST(ClusterExperimentTest, PinnedOutcomeOfASmallRun) {
+  const Trace trace = GenerateStockTrace(StockTraceConfig::Small(44));
+  ClusterConfig config;
+  config.num_replicas = 3;
+  config.routing.policy = RoutingPolicy::kQcAware;
+  config.replica_delays = {0, Millis(2), Millis(5)};
+  const ClusterExperimentResult result = RunClusterExperiment(
+      trace, QutsFactory(), config, BalancedProfile(QcShape::kStep));
+  EXPECT_EQ(result.gained, 15241.589937619945);
+  EXPECT_EQ(result.queries_committed, 262);
+  EXPECT_EQ(result.updates_applied, 1167);
+  EXPECT_EQ(result.routed, (std::vector<int64_t>{250, 10, 2}));
 }
 
 TEST(ClusterExperimentTest, DeterministicAcrossRuns) {

@@ -8,9 +8,10 @@
 //   * spill no closure out of EventCallback's inline buffer;
 //   * fire every completion and no cancelled event.
 // Bounds are recorded in plain integers inside the window and asserted after
-// it, so the assertions themselves cannot allocate mid-window. A whole
-// server fed from a generated trace is held to the same zero on its
-// submission path (contracts, item sets, conflict scans).
+// it, so the assertions themselves cannot allocate mid-window. The churn
+// also runs fed by a sorted arrival source, whose instants never touch the
+// heap. A whole server fed from a generated trace is held to the same zero
+// on its submission path (contracts, item sets, conflict scans).
 
 #include <algorithm>
 #include <cstddef>
@@ -97,6 +98,74 @@ TEST(HotPathTest, TxnChurnAllocatesNothingAndKeepsTheHeapLive) {
   EXPECT_EQ(stats.cancelled, static_cast<uint64_t>(kWarmup + kTxns));
   EXPECT_EQ(churn.deadlines_fired, 0);
   EXPECT_EQ(churn.sim.NumPending(), 0u);
+}
+
+// --- arrival-fed transaction churn -----------------------------------------------
+// The same transactions, each started by a sorted arrival source instead of
+// by the previous completion, as the server's transactions are started by
+// its trace feeder: transaction k arrives at tick k * kServiceTicks /
+// kTxnWidth, so six or seven share each instant and exactly kTxnWidth have
+// arrived in any kServiceTicks-tick window. The arrival instants fire off
+// the heap; only the completions and deadlines take slots.
+
+struct ArrivalChurn final : ArrivalSource {
+  Simulator sim;
+  int64_t next = 0;  // the next transaction to arrive
+  int64_t end = 0;
+  int64_t instants = 0;
+  int64_t completed = 0;
+  int64_t deadlines_fired = 0;
+  size_t max_pending = 0;
+
+  static SimTime ArrivalOf(int64_t txn) {
+    return txn * kServiceTicks / kTxnWidth;
+  }
+
+  SimTime NextArrivalTime() const override {
+    return next < end ? ArrivalOf(next) : kSimTimeMax;
+  }
+
+  void FireArrivals() override {
+    ++instants;
+    const SimTime now = sim.Now();
+    for (; next < end && ArrivalOf(next) <= now; ++next) {
+      const EventId deadline =
+          sim.ScheduleAt(now + kDeadlineTicks, [this] { ++deadlines_fired; });
+      sim.ScheduleAt(now + kServiceTicks, [this, deadline] {
+        sim.Cancel(deadline);
+        ++completed;
+      });
+    }
+    max_pending = std::max(max_pending, sim.NumPending());
+  }
+};
+
+TEST(HotPathTest, ArrivalFedTxnChurnAllocatesNothingAndKeepsTheHeapLive) {
+  constexpr int64_t kWarmup = 10'000;
+  constexpr int64_t kTxns = 200'000;
+  ArrivalChurn churn;
+  churn.end = kWarmup + kTxns;
+  churn.sim.AttachArrivals(&churn);
+  churn.sim.RunUntil(ArrivalChurn::ArrivalOf(kWarmup) - 1);
+  churn.max_pending = 0;
+  const int64_t before = AllocationCount();
+  churn.sim.Run();
+  const int64_t allocations = AllocationCount() - before;
+
+  EXPECT_EQ(allocations, 0);
+  const Simulator::Stats& stats = churn.sim.stats();
+  EXPECT_EQ(stats.callback_heap_spills, 0u);
+  EXPECT_LE(churn.max_pending, size_t{2 * kTxnWidth});
+  EXPECT_LE(stats.slots_allocated, size_t{2 * kTxnWidth});
+  EXPECT_EQ(churn.completed, kWarmup + kTxns);
+  EXPECT_EQ(stats.cancelled, static_cast<uint64_t>(kWarmup + kTxns));
+  EXPECT_EQ(churn.deadlines_fired, 0);
+  EXPECT_EQ(churn.sim.NumPending(), 0u);
+  // Two heap events per transaction and none per arrival instant; every
+  // instant still counts as executed.
+  EXPECT_EQ(stats.scheduled, static_cast<uint64_t>(2 * (kWarmup + kTxns)));
+  EXPECT_EQ(churn.sim.NumExecuted(),
+            static_cast<uint64_t>(kWarmup + kTxns + churn.instants));
 }
 
 // --- schedule-and-cancel churn ------------------------------------------------
