@@ -59,9 +59,9 @@ enum class Invariant {
                             // scan, is settled against that scan's commit
                             // time, and was served within TTL; live entries
                             // never outlive an update to a cached symbol
-  kRendezvousGroup,         // cross-shard groups: members share the
-                            // leader's rendezvous domain and shape (or are
-                            // covered single-item lookups)
+  kRendezvousGroup,         // cross-shard groups: exist only under
+                            // rendezvous; members are exact look-alikes of
+                            // the leader or covered single-item lookups
   kCount,                   // sentinel
 };
 

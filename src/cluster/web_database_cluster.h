@@ -65,8 +65,8 @@ class WebDatabaseCluster {
   // Fans the update out to every replica (honoring per-replica delays).
   void SubmitUpdate(ItemId item, double value, SimDuration exec_time);
 
-  // Pre-sizes every replica's transaction pools and the shared event arena
-  // for a workload of known shape. Updates fan out to all replicas, so each
+  // Pre-sizes every replica's transaction pools for a workload of known
+  // shape. Updates fan out to all replicas, so each
   // replica sees all `num_updates`; queries route to one replica, so
   // `num_queries` is a conservative per-replica bound. Performance hint.
   void ReserveCapacity(size_t num_queries, size_t num_updates);

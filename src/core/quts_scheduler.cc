@@ -318,24 +318,8 @@ int QutsScheduler::FusionDomain(const Query& query) const {
 }
 
 int QutsScheduler::RendezvousDomain(const Query& query) {
-  WEBDB_CHECK(!query.items.empty());
-  std::vector<int> shard_set;
-  shard_set.reserve(query.items.size());
-  for (ItemId item : query.items) shard_set.push_back(ShardOfItem(item));
-  std::sort(shard_set.begin(), shard_set.end());
-  shard_set.erase(std::unique(shard_set.begin(), shard_set.end()),
-                  shard_set.end());
-  // Single-shard queries keep their per-shard fusion domain: identical to
-  // FusionDomain's answer, so rendezvous never re-homes them.
-  if (shard_set.size() == 1) return shard_set[0];
-  const auto it = rendezvous_domains_.find(shard_set);
-  if (it != rendezvous_domains_.end()) return it->second;
-  // Intern in first-sight order, offset past the per-shard domain range so
-  // the two id spaces never collide.
-  const int domain =
-      num_shards() + static_cast<int>(rendezvous_domains_.size());
-  rendezvous_domains_.emplace(std::move(shard_set), domain);
-  return domain;
+  const int domain = FusionDomain(query);
+  return domain >= 0 ? domain : num_shards();
 }
 
 void QutsScheduler::ExportStats(MetricRegistry& registry) const {

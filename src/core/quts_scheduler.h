@@ -48,7 +48,6 @@
 #ifndef WEBDB_CORE_QUTS_SCHEDULER_H_
 #define WEBDB_CORE_QUTS_SCHEDULER_H_
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,14 +114,11 @@ class QutsScheduler final : public CpuSetScheduler {
   void RemoveQueued(Transaction* txn, SimTime now) override;
 
   // Fusion is per-shard: the domain is the home shard when every item of
-  // the query lives there, -1 (never fuse) when the item set spans shards.
+  // the query lives there, -1 (never share) when the item set spans shards.
   int FusionDomain(const Query& query) const override;
 
-  // Cross-shard rendezvous (DESIGN.md §14): queries spanning shards get a
-  // stable domain id interned per sorted-unique shard set, so look-alikes
-  // with matching shard-set signatures may fuse. Ids start at num_shards()
-  // (disjoint from FusionDomain's range) and grow in first-sight order —
-  // deterministic because arrivals are.
+  // Cross-shard rendezvous (DESIGN.md §14): FusionDomain's answer, or
+  // num_shards() for a query spanning shards, so every query may share.
   int RendezvousDomain(const Query& query) override;
 
   // Generic queue gauges plus scheduler.quts.{rho, adaptations,
@@ -204,10 +200,6 @@ class QutsScheduler final : public CpuSetScheduler {
   int64_t adaptations_ = 0;  // Eq. 5-6 boundaries folded in so far
   int64_t steals_ = 0;
   std::vector<std::pair<SimTime, double>> rho_series_;
-
-  // Sorted-unique shard set -> interned rendezvous domain id. std::map for
-  // deterministic audits; grows only while cross_shard_rendezvous is on.
-  std::map<std::vector<int>, int> rendezvous_domains_;
 };
 
 }  // namespace webdb

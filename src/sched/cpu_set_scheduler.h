@@ -76,19 +76,16 @@ class CpuSetScheduler {
   // A dispatched transaction left the system. Default: no-op.
   virtual void OnTxnFinished(const Transaction& /*txn*/, SimTime /*now*/) {}
 
-  // Shared-execution domain of `query`: two queries may only fuse when
-  // their domains are equal and non-negative. Negative means "never fuse".
-  // The default (one global domain) suits single-queue schedulers; QUTS
-  // returns the home shard when the whole item set lives on one shard and
-  // -1 otherwise, so cross-shard queries never fuse.
+  // Shared-execution domain of `query`. Only its sign is read: a
+  // non-negative domain means "may share" (fuse or hit the result cache),
+  // a negative one "never shares". The default (one global domain) suits
+  // single-queue schedulers; QUTS returns the home shard when the whole
+  // item set lives on one shard and -1 otherwise.
   virtual int FusionDomain(const Query& /*query*/) const { return 0; }
 
-  // Rendezvous domain for queries FusionDomain rejects (returns -1 for):
-  // a stable, deterministic id shared by all queries with the same
-  // *shard-set* signature, so cross-shard look-alikes can still fuse when
-  // FusionConfig::cross_shard_rendezvous is on. Non-const: implementations
-  // intern shard sets on first sight. Default: no rendezvous (-1). Ids
-  // must never collide with FusionDomain's range.
+  // Consulted for queries FusionDomain rejects when
+  // FusionConfig::cross_shard_rendezvous is on: non-negative lets them
+  // share too. Default: no rendezvous (-1).
   virtual int RendezvousDomain(const Query& /*query*/) { return -1; }
 
   // True when at least one transaction is queued on any shard/queue.

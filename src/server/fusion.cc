@@ -269,8 +269,7 @@ void FusionIndex::AuditConsistency() const {
 // --- FusionResultCache -------------------------------------------------------
 
 void FusionResultCache::Fill(const Query& query, const FusionResult* result,
-                             int domain, SimTime now, SimDuration ttl,
-                             const Database& db) {
+                             SimTime now, SimDuration ttl, const Database& db) {
   WEBDB_CHECK(result != nullptr && !query.items.empty());
   const uint64_t sig = query.fusion_signature;
   const int32_t existing = slot_of_.Find(sig);
@@ -298,7 +297,6 @@ void FusionResultCache::Fill(const Query& query, const FusionResult* result,
   entry.service_class = ServiceClassOf(query.type);
   const SortedItems sorted(query.items);
   entry.sorted_items.assign(sorted.begin(), sorted.end());
-  entry.domain = domain;
   entry.commit_time = now;
   entry.expiry = now + ttl;
   entry.arrival_seqs.clear();

@@ -15,9 +15,10 @@
 //                    whose item set covers its item (the covering scan
 //                    already reads that symbol).
 // Eligibility is conservative: only queued queries with no partial progress
-// and no locks ever enter the index, and under the sharded scheduler a
-// query is only indexed when its whole item set lives on one shard
-// (FusionDomain >= 0) — cross-shard queries never fuse.
+// and no locks ever enter the index, and only queries that may share
+// (SharedExecution::MayShare: a non-negative scheduler domain). Under the
+// sharded scheduler that is a query whose whole item set lives on one
+// shard, or, with cross-shard rendezvous on, any query.
 //
 // FusionIndex is the deterministic candidate store: buckets are keyed by an
 // FNV-1a signature over (service class, sorted items) plus a per-item table
@@ -67,9 +68,11 @@ struct FusionConfig {
   // Requires `enabled`; off by default for bit-identity with PR 9.
   bool result_cache = false;
   SimDuration cache_ttl = Millis(50);
-  // Let queries whose item sets span shards fuse when their shard-set
-  // signatures match (QutsScheduler rendezvous domains). No effect
-  // on single-shard topologies. Off by default for bit-identity.
+  // Let queries whose item sets span shards share too: the scheduler's
+  // RendezvousDomain is non-negative for them where FusionDomain is not.
+  // They still fuse only with an exact look-alike (same shard set) or as a
+  // lookup covered by the scan. No effect on single-shard topologies. Off
+  // by default for bit-identity.
   bool cross_shard_rendezvous = false;
 };
 
@@ -78,8 +81,9 @@ class FusionIndex {
   // FNV-1a over the service class and the sorted item set; equal signatures
   // (plus the verifying compare in CollectCandidates) define exact-match
   // fusion compatibility. The query must have at most kMaxFusionItems
-  // items. The server stores the result in Query::fusion_signature at
-  // submission; the index and the cache read that field.
+  // items. SharedExecution::OnSubmit stores the result in
+  // Query::fusion_signature for every query that may share; the index and
+  // the cache read that field.
   static uint64_t Signature(const Query& query);
 
   // Indexes a queued, fusion-eligible query (caller checks eligibility; the
@@ -151,12 +155,10 @@ class FusionResultCache {
     TxnId source = 0;
     // The producing scan's fusion signature: this entry's key.
     uint64_t signature = 0;
-    // The scan's answer, owned by the server for its lifetime.
+    // The scan's answer, owned by SharedExecution's pool for its lifetime.
     const FusionResult* result = nullptr;
     ServiceClass service_class = ServiceClass::kInteractive;
     std::vector<ItemId> sorted_items;
-    // Fusion (or rendezvous) domain the producing scan belonged to.
-    int domain = -1;
     SimTime commit_time = 0;
     SimTime expiry = 0;
     // Per-item (arrival_seq, applied_seq) snapshot at fill time, in
@@ -169,8 +171,8 @@ class FusionResultCache {
   // Retains `result` for `query`'s shape until `now + ttl`, snapshotting
   // per-item update sequence numbers from `db`. Overwrites any entry with
   // the same signature (the newer commit is at least as fresh).
-  void Fill(const Query& query, const FusionResult* result, int domain,
-            SimTime now, SimDuration ttl, const Database& db);
+  void Fill(const Query& query, const FusionResult* result, SimTime now,
+            SimDuration ttl, const Database& db);
 
   // Finds a live entry answering `query` at `now`: an exact shape match
   // first, else — when `query` is a single-item interactive lookup — the

@@ -1,22 +1,25 @@
 // WebDatabaseServer: the simulated main-memory web-database of Section 2,
 // generalized from the paper's single preemptible CPU to a CPU set.
 //
-// Owns the event loop glue between the discrete-event simulator, a pool of
-// preemptible CPUs, the database (+ update register), the 2PL-HP lock
-// manager, a pluggable CPU-set scheduler, and the profit ledger. Clients
-// submit read-only queries (with Quality Contracts) and blind updates; the
-// server plays out the schedule and accounts response time, staleness, and
-// profit. The pool is sized from the scheduler's num_cpus(); with one CPU
-// the server is the paper's single-CPU server.
+// The server is the transaction lifecycle: it drives the discrete-event
+// simulator, a pool of preemptible CPUs, the database with its register
+// table, the 2PL-HP lock manager, a pluggable CPU-set scheduler, and the
+// profit ledger. Clients submit read-only queries (with Quality Contracts)
+// and blind updates; the server plays out the schedule and accounts
+// response time, staleness, and profit. The pool is sized from the
+// scheduler's num_cpus(); with one CPU the server is the paper's
+// single-CPU server. Shared execution (fusion and the result cache) is a
+// member behind a few hooks (server/shared_execution.h).
 //
 // Lifecycle of a query:
-//   Submit -> scheduler queue -> dispatch (read-lock item set) -> [preempt /
-//   2PL-HP restart]* -> commit (measure response time + staleness, evaluate
-//   QC) | drop at lifetime deadline.
+//   Submit -> [cache hit] | admission (reject) -> scheduler queue ->
+//   dispatch (read-lock item set) -> [preempt / 2PL-HP restart]* -> commit
+//   (measure response time + staleness, evaluate QC) | drop at lifetime
+//   deadline | shed. Every exit goes through Retire.
 // Lifecycle of an update:
-//   Submit (register; invalidate older pending/active update on the item)
-//   -> dispatch (write-lock item) -> [preempt / restart]* -> apply | be
-//   invalidated by a newer arrival.
+//   Submit (take the item's register slot, invalidating the update that
+//   held it, queued or dispatched) -> dispatch (write-lock item) ->
+//   [preempt / restart]* -> apply | be invalidated by a newer arrival.
 
 #ifndef WEBDB_SERVER_WEB_DATABASE_SERVER_H_
 #define WEBDB_SERVER_WEB_DATABASE_SERVER_H_
@@ -30,13 +33,12 @@
 
 #include "db/database.h"
 #include "db/staleness.h"
-#include "db/update_register.h"
 #include "qc/profit_ledger.h"
 #include "qc/quality_contract.h"
-#include "server/fusion.h"
 #include "sched/cpu_set_scheduler.h"
 #include "server/metrics.h"
 #include "server/server_config.h"
+#include "server/shared_execution.h"
 #include "sim/processor_pool.h"
 #include "sim/simulator.h"
 #include "txn/lock_manager.h"
@@ -83,9 +85,9 @@ class WebDatabaseServer : private ShedSink {
 
   Update* SubmitUpdate(ItemId item, double value, SimDuration exec_time);
 
-  // Pre-sizes the transaction pools and the event arena for a run of known
-  // shape (e.g. a generated trace), so the submission/commit hot path never
-  // grows storage mid-flight. Purely a performance hint.
+  // Pre-sizes the transaction pools for a run of known shape (e.g. a
+  // generated trace), so the submission path never grows them mid-flight.
+  // Purely a performance hint.
   void ReserveCapacity(size_t num_queries, size_t num_updates);
 
   // --- simulation control ---------------------------------------------------
@@ -120,15 +122,15 @@ class WebDatabaseServer : private ShedSink {
   // Live fusion groups, keyed by leader id (empty once drained; the
   // fusion tests and the auditor death-tests inspect it).
   const std::map<TxnId, std::vector<TxnId>>& fusion_groups() const {
-    return fusion_groups_;
+    return shared_.groups();
   }
   // Fused-result cache (DESIGN.md §14); empty unless
   // FusionConfig::result_cache is on. The cache tests inspect it.
-  const FusionResultCache& result_cache() const { return result_cache_; }
+  const FusionResultCache& result_cache() const { return shared_.cache(); }
 
   // True when no transaction is in flight and no resource is held: every
-  // CPU idle, scheduler queues empty, no locks, no pending register
-  // entries, no active updates. Holds after Run() drains; the stress tests
+  // CPU idle, scheduler queues empty, no locks, no live register slot, no
+  // fusion group or candidate. Holds after Run() drains; the stress tests
   // assert it.
   bool IsQuiescent() const;
 
@@ -142,16 +144,19 @@ class WebDatabaseServer : private ShedSink {
   //     one lifecycle state, the per-state populations match the scheduler
   //     queue depths / CPU occupancy, and the lifecycle counters add up to
   //     the submissions;
-  //   * update-register newest-wins — each pending register entry points at
-  //     a queued update carrying its item's newest arrival sequence;
+  //   * update-register newest-wins — each item's register slot holds a
+  //     queued or running update carrying the item's newest arrival
+  //     sequence, and every such update holds its item's slot;
   //   * lock-table consistency — a walk of the dense lock table
   //     (LockManager::AuditConsistency): every grant belongs to a queued
   //     (preempted) or running transaction whose lock set holds the item;
   //   * profit-ledger conservation — the ledger's per-query counters and
-  //     series totals agree with the obs::MetricRegistry lifecycle counters.
-  // Compiled in every build and callable from tests; runs automatically
-  // (strided on scheduling events, and at every submission boundary) when
-  // configured with -DWEBDB_AUDIT=ON.
+  //     series totals agree with the obs::MetricRegistry lifecycle counters;
+  //   * shared execution — its fusion groups, result cache and rendezvous
+  //     groups (SharedExecution::AuditInvariants).
+  // Compiled in every build (server/server_audit.cc) and callable from
+  // tests; runs automatically (strided on scheduling events, and at every
+  // submission boundary) when configured with -DWEBDB_AUDIT=ON.
   void AuditInvariants() const;
 
   // FNV-1a hash over the server's end state: every transaction outcome
@@ -172,7 +177,6 @@ class WebDatabaseServer : private ShedSink {
 
   Transaction* Lookup(TxnId id);
   Query& QueryFor(TxnId id);
-  Update& UpdateFor(TxnId id);
 
   // Re-evaluates preemption / dispatch after any state change: per-CPU
   // preemption checks, then idle-CPU fill, both in ascending CPU order.
@@ -190,51 +194,29 @@ class WebDatabaseServer : private ShedSink {
   void Restart(Transaction* txn);
   void PreemptRunning(CpuId cpu);
   void OnTxnComplete(CpuId cpu, TxnId id);
-  void CommitQuery(Query& query);
   void ApplyUpdate(Update& update);
-  // `update` stopped being the item's dispatched update (applied,
-  // invalidated, or restarted back to pending): empty its active slot.
-  void ClearActiveUpdate(const Update& update);
-  // --- shared execution (DESIGN.md §13); all no-ops when fusion is off ----
-  // Indexes `query` as a fusion candidate if eligible: queued, no partial
-  // progress, no locks, item set within bounds and on one fusion domain.
-  void MaybeIndexForFusion(Query& query);
-  void UnindexForFusion(Query& query);
-  // Attaches queued look-alikes to `leader` at dispatch: exact item-set
-  // matches first, then covered single-item lookups. Members leave their
-  // scheduler queues (state -> kFused) and settle when the leader commits.
-  void AttachFusionMembers(Query& leader);
-  // Leader committed: fan the scan result out and commit every member at
-  // the same instant, each settling its own QC / tenant / admission books.
-  void SettleFusionGroup(Query& leader);
-  // Leader left the running/queued path without committing (2PL-HP
-  // restart, lifetime drop, shed): members go back to their queues — or
-  // straight to kDropped when their own lifetime already expired.
-  void DissolveFusionGroup(Query& leader);
-  // Fusion (or, when cross_shard_rendezvous is on and the per-shard domain
-  // rejects the query, rendezvous) domain — the single gate every fusion
-  // and cache path uses. Negative means "never share". Const but able to
-  // intern rendezvous domains through sched_; the auditor only ever asks
-  // about queries whose domains were interned at index/attach time.
-  int EffectiveFusionDomain(const Query& query) const;
-  // Answers `query` from the fused-result cache when a live compatible
-  // entry exists: commits it immediately at zero scan cost, with staleness
-  // charged from the cached commit time. Returns true on a hit (the query
-  // never reaches admission or a scheduler queue).
-  bool TryServeFromCache(Query& query);
-  // Retains `query`'s committed scan result in the cache when cacheable
-  // (fusion + cache on, in-bounds item set, shareable domain).
-  void MaybeFillResultCache(Query& query);
-  // The answer of `query`'s scan, committing now: its item set (a view,
-  // not a copy) and the items' current values, in a pooled slot that lives
-  // as long as the server. The one FusionResult producer.
-  const FusionResult* SnapshotResult(const Query& query);
-  // Drops a superseded update (pending or preempted/running-active).
+  // Drops `update`, queued or dispatched, superseded by a newer arrival
+  // that takes over its register slot.
   void InvalidateUpdate(Update& update);
+  // The one way a query leaves the lifecycle, into `state`: commit (solo,
+  // fused member or cache hit), drop (at its deadline or at dissolution),
+  // shed or reject. Writes the state, the lifecycle and tenant counters
+  // and the trace event, settles a commit's QC in the ledger, and releases
+  // an admitted query from admission. Commit and shed cancel the lifetime
+  // event; a drop leaves it (it is the firing event, or fires later as a
+  // no-op).
+  void Retire(Query& query, TxnState state);
+  // A queued query leaves for good (lifetime drop, shed): a preempted
+  // leader's group dissolves, and it may hold locks.
+  void Unqueue(Query& query);
+  // A leader's scan committed: its members settle at the same instant on
+  // one shared answer, each with its own QC, tenant and admission books.
+  void SettleGroup(Query& leader);
+  // A leader left without committing (restart, lifetime drop, shed): its
+  // members go back to their queues, or drop when their own lifetime has
+  // already expired.
+  void DissolveGroup(Query& leader);
   void OnLifetimeDeadline(TxnId id);
-  // Commit and shed end a query's lifetime: its deadline event could only
-  // fire as a no-op, so it leaves the event list now.
-  void CancelLifetimeEvent(Query& query);
   // ShedSink: evicts the queued query `id` on behalf of the admission
   // controller (state -> kShed); returns false when no longer queued.
   bool Shed(TxnId id) override;
@@ -251,44 +233,32 @@ class WebDatabaseServer : private ShedSink {
   ProcessorPool cpus_;
   // Per-item state, sized from the database (item ids are dense).
   LockManager locks_;
-  UpdateRegister register_;
-  // Updates that were dispatched at least once and are still alive (running
-  // or preempted), indexed by item: at most one per item, nullptr for none.
-  // Needed for write-write drops of already-dispatched updates.
-  std::vector<Update*> active_updates_;
-  size_t num_active_updates_ = 0;
+  // The register table (Section 2.1): each item's one live update, queued
+  // (pending or preempted) or running, nullptr for none. A newer arrival
+  // supersedes it and takes the slot.
+  std::vector<Update*> register_;
+  size_t num_registered_ = 0;
   ProfitLedger ledger_;
   ServerMetrics metrics_;
+  SharedExecution shared_;
 
   // Owned transaction storage; chunked pool with stable addresses
   // (util/stable_vector.h), reservable via ReserveCapacity.
   StableVector<Query> queries_;
   StableVector<Update> updates_;
-  // Storage the queries view, living exactly as long as they do (DESIGN.md
-  // §9, "Allocation-free submission"): every submitted item set, and every
-  // scan answer handed to fused members and cache hits, with its values.
+  // Every submitted item set, living exactly as long as the queries that
+  // view it (DESIGN.md §9, "Allocation-free submission").
   ChunkArena<ItemId> item_arena_;
-  StableVector<FusionResult> fusion_results_;
-  ChunkArena<double> value_arena_;
 
   // The active period CpuUtilization divides by: the first submission and
   // the latest commit or apply.
   SimTime first_arrival_ = kSimTimeMax;
   SimTime last_completion_ = 0;
 
-  // Shared execution: candidate index over queued fusible queries, and the
-  // live groups keyed by leader id (std::map: the auditor walks it).
-  FusionIndex fusion_index_;
-  std::map<TxnId, std::vector<TxnId>> fusion_groups_;
-  // AttachFusionMembers' candidate buffer; keeps its capacity.
-  std::vector<TxnId> fusion_joined_;
   // ResolveConflicts' and HasRunningConflict's holder buffer
   // (LockManager::Conflicts); keeps its capacity. Restart never asks for
   // conflicts, so the restart loop may walk it.
   std::vector<TxnId> conflicts_;
-  // Short-TTL cache of committed scan results (DESIGN.md §14). Entries do
-  // not hold resources, so a non-empty cache never blocks quiescence.
-  FusionResultCache result_cache_;
 
   // One armed wake-up event per CPU (index == CpuId), rearmed after every
   // scheduling event from the scheduler's per-CPU NextDecisionTime.

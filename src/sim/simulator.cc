@@ -147,22 +147,6 @@ void Simulator::RunUntil(SimTime t) {
   if (now_ < t) now_ = t;
 }
 
-void Simulator::Reserve(size_t pending_events) {
-  heap_.reserve(pending_events);
-  if (slots_.size() >= pending_events) return;
-  // Grow the arena up front and chain the new slots onto the free list in
-  // reverse, so the list pops them in ascending index order — the same order
-  // on-demand growth would have used. Reserve is therefore invisible to
-  // event ids and to anything downstream of them.
-  const uint32_t old_size = static_cast<uint32_t>(slots_.size());
-  slots_.resize(pending_events);
-  stats_.slots_allocated = slots_.size();
-  for (uint32_t i = static_cast<uint32_t>(pending_events); i > old_size; --i) {
-    slots_[i - 1].next_free = free_head_;
-    free_head_ = i - 1;
-  }
-}
-
 void Simulator::RemoveAt(size_t pos) {
   const HeapEntry moved = heap_.back();
   heap_.pop_back();

@@ -109,10 +109,6 @@ class Simulator {
   // to `t` (if it is not already past).
   void RunUntil(SimTime t);
 
-  // Pre-sizes the heap and the slot arena for `pending_events` concurrently
-  // pending events, so a run of known shape never grows them mid-flight.
-  void Reserve(size_t pending_events);
-
   // Events on the heap; a pending arrival instant is not one of them.
   size_t NumPending() const { return heap_.size(); }
   // Fired heap events plus fired arrival instants.

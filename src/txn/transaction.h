@@ -73,9 +73,9 @@ inline ServiceClass ServiceClassOf(QueryType type) {
 std::string ToString(ServiceClass service_class);
 
 // The answer of a fused scan, produced once by the group leader at commit
-// and fanned out to every waiter. The server owns it (a pooled slot) and
-// hands out `const FusionResult*`: waiters share it and must never mutate
-// it (enforced by the fused-result-mutation lint rule).
+// and fanned out to every waiter. The server's shared execution owns it (a
+// pooled slot) and hands out `const FusionResult*`: waiters share it and
+// must never mutate it (enforced by the fused-result-mutation lint rule).
 struct FusionResult {
   TxnId leader = 0;
   // The leader's (covering) item set: a view of the leader's own
@@ -139,9 +139,9 @@ struct Query : Transaction {
   TxnId fused_into = 0;
   const FusionResult* fused_result = nullptr;
   // FNV-1a fusion signature over (service class, sorted items), computed
-  // once at submission when fusion is on and the query is within the
-  // fusion item bound (FusionIndex::Signature); 0 otherwise. The fusion
-  // index and the result cache key on it.
+  // once at submission when the query may share (FusionIndex::Signature,
+  // SharedExecution::MayShare); 0 otherwise. The fusion index and the
+  // result cache key on it.
   uint64_t fusion_signature = 0;
 
   // Fused-result cache (DESIGN.md §14). Non-zero iff this query was
@@ -161,9 +161,10 @@ struct Update : Transaction {
   // The item's arrival sequence number assigned when this update arrived;
   // presented to Database::ApplyUpdate at commit.
   uint64_t item_arrival_seq = 0;
-  // FIFO rank used by update queues. The register table has one entry per
-  // data item, so an update that supersedes a pending one inherits its queue
-  // position (set by the server); otherwise equals `arrival`.
+  // FIFO rank used by update queues. The register table has one slot per
+  // data item, so an update that supersedes the item's live one (pending or
+  // dispatched) inherits its queue position (set by the server); otherwise
+  // equals `arrival`.
   SimTime fifo_rank = 0;
   // When the update was applied (valid once state == kCommitted).
   SimTime commit_time = 0;

@@ -249,7 +249,7 @@ class ShapeSource {
   std::vector<std::vector<ItemId>> hot_shapes_;
 };
 
-using EntryKey = std::tuple<uint64_t, TxnId, SimTime, SimTime, int,
+using EntryKey = std::tuple<uint64_t, TxnId, SimTime, SimTime,
                             std::vector<ItemId>, std::vector<uint64_t>,
                             std::vector<uint64_t>>;
 
@@ -258,8 +258,7 @@ std::vector<EntryKey> LiveEntries(const Cache& cache) {
   std::vector<EntryKey> entries;
   cache.ForEachEntry([&](const auto& e) {
     entries.emplace_back(e.signature, e.source, e.commit_time, e.expiry,
-                         e.domain, e.sorted_items, e.arrival_seqs,
-                         e.applied_seqs);
+                         e.sorted_items, e.arrival_seqs, e.applied_seqs);
   });
   std::sort(entries.begin(), entries.end());
   return entries;
@@ -345,8 +344,8 @@ void RunDifferential(uint64_t seed, int steps) {
       const size_t q = rng.Bernoulli(0.5) ? (new_query(), queries.size() - 1)
                                           : any_query();
       const SimDuration ttl = rng.UniformInt(1, Millis(50));
-      flat_cache.Fill(queries[q], &result, 0, clock, ttl, db);
-      map_cache.Fill(queries[q], &result, 0, clock, ttl, db);
+      flat_cache.Fill(queries[q], &result, clock, ttl, db);
+      map_cache.Fill(queries[q], &result, clock, ttl, db);
       expiries.push_back(clock + ttl);
     } else if (op < 90) {
       // Lookup now, or exactly at / one tick past a fill's expiry.
@@ -413,8 +412,8 @@ TEST(FusionFlatDifferentialTest, EqualCommitTimesBreakTiesByLowestSignature) {
   };
   const FusionResult result;
   for (const Query& scan : scans) {
-    flat.Fill(scan, &result, 0, Millis(10), Millis(50), db);
-    ref.Fill(scan, &result, 0, Millis(10), Millis(50), db);
+    flat.Fill(scan, &result, Millis(10), Millis(50), db);
+    ref.Fill(scan, &result, Millis(10), Millis(50), db);
   }
   const Query* lowest = &scans[0];
   for (const Query& scan : scans) {
@@ -431,7 +430,7 @@ TEST(FusionFlatDifferentialTest, EqualCommitTimesBreakTiesByLowestSignature) {
   // A later commit beats every lower signature.
   const Query newer =
       MakeQuery(item_sets, 5, QueryType::kAggregation, {9, 1});
-  flat.Fill(newer, &result, 0, Millis(11), Millis(50), db);
+  flat.Fill(newer, &result, Millis(11), Millis(50), db);
   EXPECT_EQ(flat.Lookup(lookup, Millis(20))->source, newer.id);
   flat.AuditConsistency();
 }
@@ -473,7 +472,7 @@ TEST(FusionFlatAllocationTest, SteadyStateCallsAllocateNothing) {
     }
     for (const Query& query : queries) index.Remove(query);
     for (size_t i = 0; i < queries.size(); i += 3) {
-      cache.Fill(queries[i], &result, 0, clock, Millis(50), db);
+      cache.Fill(queries[i], &result, clock, Millis(50), db);
       clock += Micros(100);
     }
     for (const Query& query : queries) {

@@ -186,15 +186,14 @@ class MapFusionResultCache {
     const FusionResult* result = nullptr;
     ServiceClass service_class = ServiceClass::kInteractive;
     std::vector<ItemId> sorted_items;
-    int domain = -1;
     SimTime commit_time = 0;
     SimTime expiry = 0;
     std::vector<uint64_t> arrival_seqs;
     std::vector<uint64_t> applied_seqs;
   };
 
-  void Fill(const Query& query, const FusionResult* result, int domain,
-            SimTime now, SimDuration ttl, const Database& db) {
+  void Fill(const Query& query, const FusionResult* result, SimTime now,
+            SimDuration ttl, const Database& db) {
     WEBDB_CHECK(result != nullptr && !query.items.empty());
     const uint64_t sig = map_reference::Signature(query);
     const auto existing = entries_.find(sig);
@@ -206,7 +205,6 @@ class MapFusionResultCache {
     entry.result = result;
     entry.service_class = ServiceClassOf(query.type);
     entry.sorted_items = map_reference::SortedItems(query);
-    entry.domain = domain;
     entry.commit_time = now;
     entry.expiry = now + ttl;
     for (ItemId item : entry.sorted_items) {

@@ -92,6 +92,43 @@ TEST(ServerEdgeTest, SupersedingUpdateInheritsQueuePosition) {
   EXPECT_DOUBLE_EQ(db.Item(0).value, 3.0);
 }
 
+TEST(ServerEdgeTest, ThreeDeepSupersedeChainLeavesTheOtherItemAlone) {
+  Database db(3);
+  FifoScheduler sched;
+  WebDatabaseServer server(&db, &sched);
+  // The CPU is blocked while A1, B (item 1), A2 and A3 queue: A2
+  // supersedes A1 and A3 supersedes A2, each inheriting A1's FIFO rank, so
+  // A3 is applied before B. B, on its own item, is never touched.
+  server.SubmitQuery(QueryType::kLookup, {2}, StepQc(), Millis(20));
+  Update* a1 = nullptr;
+  Update* b = nullptr;
+  Update* a2 = nullptr;
+  Update* a3 = nullptr;
+  server.sim().ScheduleAt(Millis(1),
+                          [&] { a1 = server.SubmitUpdate(0, 1.0, Millis(2)); });
+  server.sim().ScheduleAt(Millis(2),
+                          [&] { b = server.SubmitUpdate(1, 2.0, Millis(2)); });
+  server.sim().ScheduleAt(Millis(3),
+                          [&] { a2 = server.SubmitUpdate(0, 3.0, Millis(2)); });
+  server.sim().ScheduleAt(Millis(4),
+                          [&] { a3 = server.SubmitUpdate(0, 4.0, Millis(2)); });
+  server.Run();
+  ASSERT_NE(a3, nullptr);
+  EXPECT_EQ(a1->state, TxnState::kInvalidated);
+  EXPECT_EQ(a2->state, TxnState::kInvalidated);
+  EXPECT_EQ(a3->state, TxnState::kCommitted);
+  EXPECT_EQ(a3->fifo_rank, a1->arrival);
+  EXPECT_EQ(b->state, TxnState::kCommitted);
+  EXPECT_EQ(b->fifo_rank, b->arrival);
+  EXPECT_LT(a3->commit_time, b->commit_time);
+  EXPECT_EQ(server.metrics().updates_invalidated, 2);
+  EXPECT_EQ(db.Item(0).invalidated_count, 2u);
+  EXPECT_EQ(db.Item(1).invalidated_count, 0u);
+  EXPECT_DOUBLE_EQ(db.Item(0).value, 4.0);
+  EXPECT_DOUBLE_EQ(db.Item(1).value, 2.0);
+  EXPECT_TRUE(server.IsQuiescent());
+}
+
 TEST(ServerEdgeTest, ValueDistanceMetricEndToEnd) {
   Database db(2);
   auto sched = MakeQueryHigh();

@@ -160,25 +160,6 @@ TEST(SimulatorTest, ArenaReusesSlotsInsteadOfGrowing) {
   EXPECT_EQ(sim.stats().scheduled, 5000u);
 }
 
-TEST(SimulatorTest, ReserveDoesNotChangeBehavior) {
-  // Two identical runs, one through Reserve: same ids, same order.
-  std::vector<EventId> plain_ids, reserved_ids;
-  std::vector<int> plain_order, reserved_order;
-  for (bool reserve : {false, true}) {
-    Simulator sim;
-    if (reserve) sim.Reserve(64);
-    auto& ids = reserve ? reserved_ids : plain_ids;
-    auto& order = reserve ? reserved_order : plain_order;
-    for (int i = 0; i < 10; ++i) {
-      ids.push_back(sim.ScheduleAt(10 - i, [&order, i] { order.push_back(i); }));
-    }
-    sim.Cancel(ids[3]);
-    sim.Run();
-  }
-  EXPECT_EQ(plain_ids, reserved_ids);
-  EXPECT_EQ(plain_order, reserved_order);
-}
-
 TEST(SimulatorTest, SmallCallbacksStayOffTheHeap) {
   Simulator sim;
   int fired = 0;

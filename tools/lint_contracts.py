@@ -33,9 +33,9 @@ notes promise but the compiler cannot see:
                           FusionResult* or FusionResult& without const, a
                           shared_ptr<FusionResult>, or a const_cast that
                           names the type. A fused scan's answer is produced
-                          once, into a slot of the server's pool
-                          (WebDatabaseServer::SnapshotResult, the one
-                          sanctioned writer), and fanned out to every waiter
+                          once, into a slot of the shared-execution pool
+                          (SharedExecution::Snapshot, the one sanctioned
+                          writer), and fanned out to every waiter
                           in the group and every cache hit as a
                           `const FusionResult*` (DESIGN.md §13); a waiter
                           that mutates through it corrupts every other
