@@ -9,16 +9,14 @@ DualQueueScheduler::DualQueueScheduler(Options options)
   if (options_.update_policy == UpdatePolicy::kDemandWeighted) {
     WEBDB_CHECK(options_.item_weights != nullptr);
   }
-  if (!options_.name.empty()) {
-    name_ = options_.name;
-  } else {
-    name_ = options_.high_side == TxnKind::kUpdate ? "UH" : "QH";
-    name_ += "(";
-    name_ += ToString(options_.query_policy);
-    name_ += "/";
-    name_ += ToString(options_.update_policy);
-    name_ += ")";
-  }
+  // One expression: GCC 12's LTO link of the appending form reported a
+  // -Wstringop-overflow memcpy bound no path reaches.
+  name_ = !options_.name.empty()
+              ? options_.name
+              : std::string(options_.high_side == TxnKind::kUpdate ? "UH"
+                                                                   : "QH") +
+                    "(" + ToString(options_.query_policy) + "/" +
+                    ToString(options_.update_policy) + ")";
 }
 
 void DualQueueScheduler::Enqueue(Transaction* txn) {

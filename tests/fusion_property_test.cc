@@ -7,8 +7,9 @@
 //     queries_fused counter, no query ends in kFused, and every group has
 //     been torn down by drain time;
 //   * arrived = committed + dropped + rejected + shed, globally and per
-//     tenant (fusion settles members through the same CommitQuery path, so
-//     the tenant books cannot tell a fused commit from a scheduled one);
+//     tenant (fusion settles members through the same
+//     WebDatabaseServer::Retire path, so the tenant books cannot tell a
+//     fused commit from a scheduled one);
 //   * SweepRunner --jobs values are bit-identical: the worker count is an
 //     execution detail, never a schedule input.
 

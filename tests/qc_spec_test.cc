@@ -1,5 +1,8 @@
 #include "qc/qc_spec.h"
 
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace webdb {
@@ -54,9 +57,17 @@ TEST(QcSpecTest, BareNumberDurationDefaultsToMs) {
 }
 
 struct BadSpec {
+  const char* name;  // the case's test-name suffix
   const char* spec;
   const char* expect_in_error;
 };
+
+// CMake's test discovery copies gtest's printout of the parameter into the
+// ctest name. Printed by default, a BadSpec is its pointers' bytes, which
+// differ from build to build.
+void PrintTo(const BadSpec& bad, std::ostream* os) {
+  *os << '"' << bad.spec << '"';
+}
 
 class QcSpecErrorTest : public ::testing::TestWithParam<BadSpec> {};
 
@@ -71,15 +82,19 @@ TEST_P(QcSpecErrorTest, Rejects) {
 INSTANTIATE_TEST_SUITE_P(
     BadSpecs, QcSpecErrorTest,
     ::testing::Values(
-        BadSpec{"", "empty"},
-        BadSpec{"triangle qos=1@1ms", "unknown shape"},
-        BadSpec{"step qos", "key=value"},
-        BadSpec{"step qos=1", "profit@cutoff"},
-        BadSpec{"step qos=abc@50ms", "bad profit"},
-        BadSpec{"step qos=1@-5ms", "bad response-time cutoff"},
-        BadSpec{"step qod=1@zero", "bad staleness cutoff"},
-        BadSpec{"step mode=sometimes", "bad mode"},
-        BadSpec{"step speed=1@1", "unknown field"}));
+        BadSpec{"Empty", "", "empty"},
+        BadSpec{"UnknownShape", "triangle qos=1@1ms", "unknown shape"},
+        BadSpec{"MissingValue", "step qos", "key=value"},
+        BadSpec{"MissingCutoff", "step qos=1", "profit@cutoff"},
+        BadSpec{"BadProfit", "step qos=abc@50ms", "bad profit"},
+        BadSpec{"NegativeResponseTime", "step qos=1@-5ms",
+                "bad response-time cutoff"},
+        BadSpec{"BadStaleness", "step qod=1@zero", "bad staleness cutoff"},
+        BadSpec{"BadMode", "step mode=sometimes", "bad mode"},
+        BadSpec{"UnknownField", "step speed=1@1", "unknown field"}),
+    [](const ::testing::TestParamInfo<BadSpec>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(QcSpecTest, ErrorPointerOptional) {
   QualityContract qc;
